@@ -12,6 +12,7 @@ from .entropy import (
     binary_entropy,
     block_entropy,
     block_entropy_curve,
+    block_spectra,
     entanglement_spectrum,
     enumerate_spectrum,
     schmidt_numbers,
@@ -42,6 +43,9 @@ from .pairing import (
     beta_coefficients,
     block_coupling,
     block_occupations,
+    majorana_block,
+    majorana_occupations,
+    majorana_table,
     pair_amplitudes,
     pair_correlations,
     real_space_gamma,
@@ -71,11 +75,15 @@ __all__ = [
     "block_entropy",
     "block_entropy_curve",
     "block_occupations",
+    "block_spectra",
     "dispersion",
     "entanglement_spectrum",
     "enumerate_spectrum",
     "ground_degeneracy",
     "ground_energy",
+    "majorana_block",
+    "majorana_occupations",
+    "majorana_table",
     "mode_eigenvalues",
     "momentum_grid",
     "pair_amplitudes",

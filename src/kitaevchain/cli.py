@@ -19,7 +19,6 @@ from . import entropy as entropy_mod
 from . import oracle
 from .exceptions import KitaevChainError, ParameterError
 from .model import ChainParams, ground_degeneracy, ground_energy
-from .pairing import block_coupling, real_space_gamma
 
 
 def _fmt(x) -> str:
@@ -44,7 +43,11 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """One-axis sweep: which knob moves, over what range, at what base point."""
+    """One-axis sweep: which knob moves, over what range, at what base point.
+
+    block_len is the block of the h-field and jy-over-jx axes; None means
+    half the chain.
+    """
 
     axis: str
     params: ChainParams
@@ -52,7 +55,7 @@ class ScanSpec:
     stop: float
     step: float
     parity: str = "all"
-    block_len: int = 0
+    block_len: int | None = None
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,7 @@ def run_scan(spec: ScanSpec, output: str | None = None) -> list[tuple[float, flo
     """
     p = spec.params
     axis = spec.axis.replace("_", "-")
+    block_len = p.n_sites // 2 if spec.block_len is None else spec.block_len
     rows: list[tuple[float, float]] = []
     if axis == "block-len":
         lens = [int(round(v)) for v in _axis_values(spec.start, spec.stop, spec.step)]
@@ -100,12 +104,12 @@ def run_scan(spec: ScanSpec, output: str | None = None) -> list[tuple[float, flo
     elif axis == "h-field":
         for h in _axis_values(spec.start, spec.stop, spec.step):
             point = ChainParams(p.n_sites, p.j_x, p.j_y, h)
-            curve = entropy_mod.block_entropy_curve(point, [spec.block_len])
+            curve = entropy_mod.block_entropy_curve(point, [block_len])
             rows.append((h, curve[0][1]))
     elif axis == "jy-over-jx":
         for ratio in _axis_values(spec.start, spec.stop, spec.step):
             point = ChainParams(p.n_sites, p.j_x, ratio * p.j_x, p.h_field)
-            curve = entropy_mod.block_entropy_curve(point, [spec.block_len])
+            curve = entropy_mod.block_entropy_curve(point, [block_len])
             rows.append((ratio, curve[0][1]))
     else:
         raise ParameterError(f"unknown scan axis {spec.axis!r}")
@@ -211,8 +215,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     p = _params_from(args)
-    g = real_space_gamma(p)
-    s = entropy_mod.schmidt_numbers(block_coupling(g, args.block_size))
+    [(_, s)] = entropy_mod.block_spectra(p, [args.block_size])
     spec = entropy_mod.entanglement_spectrum(s, args.top_k)
     running = np.cumsum(spec.lambdas)
     rows = [(i + 1, lam, running[i]) for i, lam in enumerate(spec.lambdas)]
@@ -228,7 +231,7 @@ def _cmd_scan(args) -> int:
         stop=args.stop,
         step=args.step,
         parity=args.parity,
-        block_len=args.block_size or 0,
+        block_len=args.block_size,
     )
     run_scan(spec, args.output)
     return 0
@@ -286,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("scan", help="entropy along one parameter axis")
     _add_common(sub)
-    sub.add_argument("--block-size", type=int, default=0)
+    sub.add_argument("--block-size", type=int, default=None,
+                     help="block of the h-field and jy-over-jx axes (default: half the chain)")
     sub.add_argument("--axis", choices=["block-len", "h-field", "jy-over-jx"], required=True)
     sub.add_argument("--from", dest="start", type=float, required=True)
     sub.add_argument("--to", dest="stop", type=float, required=True)

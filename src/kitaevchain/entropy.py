@@ -1,10 +1,16 @@
-"""Block entanglement entropy and spectrum from the cross-block coupling.
+"""Block entanglement entropy and spectrum from natural-mode occupations.
 
-With the coupling in canonical form sum_n sqrt(eta_n) A+_n B+_n, each mode
-pair contributes independently: the normalized two-level weights are
-x_n^2 = 1/(1 + eta_n) and y_n^2 = eta_n/(1 + eta_n), the reduced-density
-eigenvalues are products of one weight per mode, and the entropy is the sum
-of binary entropies H(x_n^2).
+A block of L sites has L natural fermionic modes with occupations nu_n in
+[0, 1/2], read from the singular values of the real L x L block of
+G = 1 - 2C + 2F (see pairing.majorana_occupations).  In Schmidt form the
+state is sum_n sqrt(eta_n) A+_n B+_n with eta_n = nu_n / (1 - nu_n), and each
+mode pair contributes independently: the normalized two-level weights are
+x_n^2 = 1/(1 + eta_n) = 1 - nu_n and y_n^2 = eta_n/(1 + eta_n) = nu_n, the
+reduced-density eigenvalues are products of one weight per mode, and the
+entropy is the sum of binary entropies H(x_n^2).
+
+block_spectra and block_entropy_curve run the momentum route: one table of G
+per chain, one largest block, one SVD per block size.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from . import linalg
 from .exceptions import ParameterError, SizeError
 from .model import ChainParams
-from .pairing import block_coupling, real_space_gamma
+from .pairing import _check_block_len, majorana_block, majorana_occupations, majorana_table
 
 # Schmidt numbers below this are exact zeros for every downstream purpose:
 # their entropy contribution is below 1e-21 bits.
@@ -68,6 +74,21 @@ def schmidt_numbers(c) -> SchmidtSpectrum:
     return SchmidtSpectrum(etas=np.sort(etas)[::-1], block_len=c.block_len)
 
 
+def occupation_spectrum(nu: np.ndarray, n_sites: int) -> SchmidtSpectrum:
+    """Schmidt numbers eta = nu / (1 - nu) from a block's occupations, descending.
+
+    A pure Gaussian state has at most min(L, N - L) modes with occupation
+    strictly between 0 and 1, so only the min(L, N - L) largest nu are kept;
+    the others, frozen up to rounding, count as exact zeros.
+    """
+    block_len = len(nu)
+    keep = min(block_len, n_sites - block_len)
+    etas = np.zeros(block_len)
+    etas[:keep] = nu[:keep] / (1.0 - nu[:keep])
+    etas[etas < ETA_FLOOR] = 0.0
+    return SchmidtSpectrum(etas=etas, block_len=block_len)
+
+
 def block_entropy(s: SchmidtSpectrum) -> float:
     """E = sum_n H(1/(1 + eta_n)) in bits; zero modes contribute exactly 0."""
     etas = s.etas[s.etas > 0.0]
@@ -109,7 +130,10 @@ def entanglement_spectrum(s: SchmidtSpectrum, count: int) -> EntanglementSpectru
         values.append(v)
         if i + 1 < len(factors):
             heapq.heappush(heap, (-v * factors[i + 1], i + 1))
-            heapq.heappush(heap, (-v * factors[i + 1] / factors[i], i + 1))
+            # Exactly at most v, since factors descend; rounding can lift it
+            # one ulp above v when two factors are (nearly) equal, so cap it
+            # to keep the emitted values non-increasing.
+            heapq.heappush(heap, (-min(v * factors[i + 1] / factors[i], v), i + 1))
     lam = np.asarray(values)
     return EntanglementSpectrum(lambdas=lam, total_captured=float(lam.sum()))
 
@@ -128,11 +152,24 @@ def enumerate_spectrum(s: SchmidtSpectrum) -> np.ndarray:
     return np.sort(lam)[::-1]
 
 
+def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, SchmidtSpectrum]]:
+    """Schmidt spectrum of the first L sites for each requested L, in order.
+
+    The table of G and its largest requested block are built once; each
+    block size takes the SVD of a leading slice of that block.
+    """
+    lens = [int(length) for length in block_lens]
+    for length in lens:
+        _check_block_len(p.n_sites, length)
+    if not lens:
+        return []
+    g = majorana_block(majorana_table(p), max(lens))
+    return [
+        (length, occupation_spectrum(majorana_occupations(g[:length, :length]), p.n_sites))
+        for length in lens
+    ]
+
+
 def block_entropy_curve(p: ChainParams, block_lens) -> list[tuple[int, float]]:
-    """Entropy at each requested block size, sharing one pairing matrix."""
-    g = real_space_gamma(p)
-    out = []
-    for length in block_lens:
-        spectrum = schmidt_numbers(block_coupling(g, int(length)))
-        out.append((int(length), block_entropy(spectrum)))
-    return out
+    """Entropy in bits at each requested block size, in request order."""
+    return [(length, block_entropy(s)) for length, s in block_spectra(p, block_lens)]

@@ -10,6 +10,7 @@ uncoupled four-momentum groups labelled by q in (0, pi/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ def _check_sites(n_sites: int) -> None:
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Chain size and couplings.  Couplings and field may be any reals."""
+    """Chain size and couplings.  Couplings and field may be any finite reals."""
 
     n_sites: int
     j_x: float = 1.0
@@ -35,6 +36,9 @@ class ChainParams:
 
     def __post_init__(self):
         _check_sites(self.n_sites)
+        for name in ("j_x", "j_y", "h_field"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,21 @@
-"""Real-space structure of the ground state's pairing exponent.
+"""Real-space structure of the ground state's pairing exponent, and the
+Majorana correlation blocks that carry block entanglement.
 
 The even-sector ground state can be written as exp(Z) acting on the fermion
 vacuum, with Z = sum_{l<m} z_{lm} c+_l c+_m.  This module builds the momentum
-pair amplitudes, their Fourier coefficients beta_n(x), the site-pair matrix
-gamma, and from it the cross-block coupling whose singular values carry the
-block entanglement.
+pair amplitudes and their Fourier coefficients beta_n(x).  From there two
+routes reach the real matrix G = 1 - 2C + 2F of ground-state correlations,
+whose leading L x L block has singular values |1 - 2 nu| for the natural-mode
+occupations nu of a block of L sites:
+
+- the momentum route (majorana_table, majorana_block) turns Z into 2 x 2
+  symbols over the two-site unit cell, forms C and F there in closed form,
+  and transforms them back into one table of G per cell separation.  It
+  costs O(N log N + L^3) time and O(N + L^2) memory, and feeds the entropy
+  pipeline;
+- the paper's construction (real_space_gamma, pair_correlations,
+  block_occupations) builds the N x N site-pair matrix gamma and solves for
+  C and F in real space.  It is kept as the independent reference.
 
 Two gamma constructions are kept side by side.  The authoritative one
 carries the beta_2 parity term with a -i coefficient; a variant with +i
@@ -20,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ParameterError, SingularModeError
 from .model import ChainParams, dispersion, momentum_grid
@@ -74,12 +86,19 @@ class PairingMatrix:
 
 
 def _beta_tables(p: ChainParams) -> tuple[np.ndarray, np.ndarray]:
-    """beta_n(x) for every separation x in [-(N-1), N-1], as lookup arrays."""
-    _, qs = momentum_grid(p.n_sites)
-    a1, a2 = pair_amplitudes(p, qs)
-    x = np.arange(-(p.n_sites - 1), p.n_sites)
-    phases = np.exp(1j * np.outer(qs, x))
-    return (a1 @ phases) / p.n_sites, (a2 @ phases) / p.n_sites
+    """beta_n(x) for every separation x in [-(N-1), N-1], as lookup arrays.
+
+    The momenta are q_j = (2j + 1) pi / N, so beta_n(x) is e^{i pi x / N}
+    times the inverse N-point FFT of the amplitudes zero-padded to length N;
+    one FFT serves every separation.
+    """
+    n = p.n_sites
+    _, qs = momentum_grid(n)
+    padded = np.zeros((2, n))
+    padded[:, : len(qs)] = pair_amplitudes(p, qs)
+    x = np.arange(-(n - 1), n)
+    b1, b2 = np.exp(1j * np.pi * x / n) * np.fft.ifft(padded)[:, x % n]
+    return b1, b2
 
 
 def _parity_factors(n_sites: int):
@@ -107,7 +126,7 @@ def real_space_gamma(p: ChainParams) -> PairingMatrix:
     """
     b1, b2 = _beta_tables(p)
     p1, p2, xi = _parity_factors(p.n_sites)
-    gamma = (p1 * b1[xi].real + p2 * b2[xi].imag).astype(complex)
+    gamma = p1 * b1.real[xi] + p2 * b2.imag[xi]
     return PairingMatrix(n_sites=p.n_sites, gamma=gamma)
 
 
@@ -158,26 +177,87 @@ def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
     return g._correlations
 
 
+def _check_block_len(n_sites: int, block_len: int) -> None:
+    if not 1 <= block_len <= n_sites - 1:
+        raise ParameterError(f"block_len must lie in [1, {n_sites - 1}], got {block_len}")
+
+
+def majorana_occupations(block: np.ndarray) -> np.ndarray:
+    """Natural-mode occupations of a block from its L x L block of G, descending.
+
+    The block's reduced state is Gaussian and factorizes over fermionic
+    modes with occupations in particle-hole pairs (nu, 1 - nu).  The real
+    block of G = 1 - 2C + 2F has singular values |1 - 2 nu|, so one SVD
+    gives the minority member nu = (1 - sigma) / 2 of each pair: a frozen
+    (empty or full) mode reports 0 and a maximally entangled one 1/2.
+    """
+    sigma = np.linalg.svd(block, compute_uv=False)
+    return np.maximum(0.5 * (1.0 - sigma[::-1]), 0.0)
+
+
 def block_occupations(g: PairingMatrix, block_len: int) -> np.ndarray:
     """Natural-mode occupations of the first block_len sites, descending.
 
-    The block's reduced state is Gaussian, so it factorizes over fermionic
-    modes whose occupations are eigenvalues of the 2L x 2L matrix
-    [[C, F^T], [F, 1 - C]] restricted to the block.  Eigenvalues come in
-    particle-hole pairs (nu, 1 - nu); the returned array holds the minority
-    member of each pair, so a frozen (empty or full) mode reports 0 and a
-    maximally entangled one reports 1/2.
+    The reference route: C and F come from gamma through the two N x N
+    solves of pair_correlations, and the block of G = 1 - 2C + 2F goes
+    through majorana_occupations.
     """
-    if not 1 <= block_len <= g.n_sites - 1:
-        raise ParameterError(
-            f"block_len must lie in [1, {g.n_sites - 1}], got {block_len}"
-        )
+    _check_block_len(g.n_sites, block_len)
     c, f = pair_correlations(g)
-    cb = c[:block_len, :block_len]
-    fb = f[:block_len, :block_len]
-    m = np.block([[cb, fb.T], [fb, np.eye(block_len) - cb]])
-    w = np.linalg.eigvalsh(m)
-    return np.clip(w[:block_len][::-1], 0.0, 1.0)
+    cb, fb = c[:block_len, :block_len], f[:block_len, :block_len]
+    return majorana_occupations(np.eye(block_len) - 2.0 * cb + 2.0 * fb)
+
+
+def majorana_table(p: ChainParams) -> np.ndarray:
+    """G = 1 - 2C + 2F between the cells of two sites, per cell separation.
+
+    Returns a real array of shape (2, 2, N/2) whose [s, t, d] entry is
+    G_{2a+s, 2b+t} for a - b = d >= 0 (0-based sites, s and t the
+    sublattices); at negative separation G(d) = -G(d + N/2).
+
+    Z = gamma - gamma^T depends only on the cell separation and the
+    sublattices, with that same antiperiodic wrap, so it is block-diagonal
+    over the N/2 cell momenta K = (2k + 1) pi / (N/2), where it reduces to a
+    2 x 2 symbol Zhat = [[0, z01], [z10, 0]].  There C = Z (1 + Z^T Z)^{-1} Z^T
+    and F = -(1 + Z Z^T)^{-1} Z are diagonal and off-diagonal with the
+    entries |z|^2 / (1 + |z|^2) and -z / (1 + |z|^2), and one inverse FFT
+    brings them back to real space.  No N x N matrix is formed.
+    """
+    n, cells = p.n_sites, p.n_sites // 2
+    b1, b2 = _beta_tables(p)
+    d = np.arange(cells)
+    # The two nonzero columns of Z = 2 gamma in the parity form of
+    # real_space_gamma: an odd site to the even site of the cell d back
+    # (x = 2d - 1, both prefactors -2), and an even site to the odd site of
+    # the cell d back (x = 2d + 1, prefactors +2 and -2).  Tables start at
+    # x = -(N - 1).
+    x_oe, x_eo = 2 * d + n - 2, 2 * d + n
+    columns = np.stack([-4.0 * (b1.real[x_oe] + b2.imag[x_oe]),
+                        4.0 * (b1.real[x_eo] - b2.imag[x_eo])])
+    half_shift = np.exp(1j * np.pi * d / cells)
+    z = np.fft.fft(columns / half_shift)
+    damp = 1.0 / (1.0 + np.abs(z) ** 2)
+    symbols = np.concatenate([np.abs(z) ** 2 * damp, -z * damp])
+    c00, c11, f01, f10 = (half_shift * np.fft.ifft(symbols)).real
+    table = np.stack([[-2.0 * c00, 2.0 * f01], [2.0 * f10, -2.0 * c11]])
+    table[[0, 1], [0, 1], 0] += 1.0
+    return table
+
+
+def majorana_block(table: np.ndarray, block_len: int) -> np.ndarray:
+    """The leading block_len x block_len block of G, from a majorana_table.
+
+    Every leading block of this block is the matching block of G, so one
+    call serves every smaller block size.
+    """
+    cells = table.shape[2]
+    _check_block_len(2 * cells, block_len)
+    k = (block_len + 1) // 2
+    # G(d) for d = -(k - 1) .. k - 1 along the last axis; a sliding window,
+    # reversed, lays it out as the Toeplitz blocks [s, t, a, b] = G_st(a - b).
+    signed = np.concatenate([-table[:, :, cells - k + 1 :], table[:, :, :k]], axis=2)
+    blocks = sliding_window_view(signed, k, axis=2)[:, :, :, ::-1]
+    return blocks.transpose(2, 0, 3, 1).reshape(2 * k, 2 * k)[:block_len, :block_len]
 
 
 @dataclass
@@ -209,7 +289,7 @@ def block_coupling(g: PairingMatrix, block_len: int) -> BlockCoupling:
     keep = min(block_len, g.n_sites - block_len)
     kept = nu[:keep]
     eta = kept / (1.0 - kept)
-    coupling = np.zeros((block_len, g.n_sites - block_len), dtype=complex)
+    coupling = np.zeros((block_len, g.n_sites - block_len))
     coupling[np.arange(keep), np.arange(keep)] = np.sqrt(eta)
     return BlockCoupling(block_len=block_len, coupling=coupling)
 
@@ -225,8 +305,5 @@ def raw_cross_block(g: PairingMatrix, block_len: int) -> np.ndarray:
     used by the entropy pipeline; it is kept for quantifying exactly that
     gap.  See tests and the demos for the recorded comparison.
     """
-    if not 1 <= block_len <= g.n_sites - 1:
-        raise ParameterError(
-            f"block_len must lie in [1, {g.n_sites - 1}], got {block_len}"
-        )
+    _check_block_len(g.n_sites, block_len)
     return g.gamma[:block_len, block_len:] - g.gamma[block_len:, :block_len].T

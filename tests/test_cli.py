@@ -155,6 +155,33 @@ def test_scan_ratio_axis_peaks_at_unity(tmp_path):
     assert abs(best_ratio - 1.0) <= 0.2 + 1e-12
 
 
+@pytest.mark.parametrize("axis,lo,hi", [("h-field", "0", "0.5"), ("jy-over-jx", "0.5", "1")])
+def test_scan_block_size_defaults_to_half_chain(axis, lo, hi, tmp_path, capsys):
+    base = ["scan", "--axis", axis, "--n-sites", "16", "--h-field", "0.3",
+            "--from", lo, "--to", hi, "--step", "0.5"]
+    default, half = tmp_path / "default.csv", tmp_path / "half.csv"
+    assert cli.main(base + ["--output", str(default)]) == 0
+    assert cli.main(base + ["--block-size", "8", "--output", str(half)]) == 0
+    assert default.read_bytes() == half.read_bytes()
+    assert len(read_rows(default)) == 3
+    assert cli.main(base + ["--block-size", "0", "--output", "-"]) == 2
+    assert "block_len must lie in [1, 15], got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--jx", "nan"), ("--h-field", "inf")])
+@pytest.mark.parametrize("command", [
+    ["energy", "--n-sites", "4"],
+    ["entropy", "--n-sites", "8", "--block-size", "2"],
+    ["scan", "--axis", "h-field", "--n-sites", "8", "--from", "0", "--to", "0.5", "--step", "0.5"],
+])
+def test_non_finite_parameters_are_usage_errors(command, flag, value, capsys):
+    assert cli.main(command + [flag, value, "--output", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_scan_saturation_differences_shrink():
     spec = cli.ScanSpec(
         axis="block-len",

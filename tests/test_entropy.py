@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from kitaevchain.entropy import (
     binary_entropy,
     block_entropy,
     block_entropy_curve,
+    block_spectra,
     entanglement_spectrum,
     enumerate_spectrum,
+    occupation_spectrum,
     schmidt_numbers,
 )
 from kitaevchain.exceptions import ParameterError, SizeError
@@ -145,6 +149,17 @@ def test_spectrum_descending_and_bounded():
     assert r.total_captured <= 1.0 + 1e-12
 
 
+def test_spectrum_non_increasing_with_degenerate_modes():
+    # Equal Schmidt numbers give equal flip factors; the best-first search
+    # must still emit a non-increasing sequence, not one lifted by rounding.
+    etas = np.repeat([2.1916697848255327, 0.5352103056016515, 0.11042087016333842], 2)
+    lam = entanglement_spectrum(spectrum_of(etas), 64).lambdas
+    assert len(lam) == 64
+    assert np.all(np.diff(lam) <= 0.0)
+    full = enumerate_spectrum(spectrum_of(etas))
+    assert np.abs(lam - full[:64]).max() < 1e-15
+
+
 def test_enumeration_matches_best_first_search():
     s = spectrum_of([2.4, 0.9, 0.13, 0.01])
     full = enumerate_spectrum(s)
@@ -204,3 +219,59 @@ def test_curve_zero_for_product_state():
 def test_curve_preserves_request_order():
     curve = block_entropy_curve(ChainParams(8, 1.0, 1.0, 0.5), [4, 1, 3])
     assert [length for length, _ in curve] == [4, 1, 3]
+
+
+def test_occupation_spectrum_odds_and_frozen_modes():
+    s = occupation_spectrum(np.array([0.5, 0.25, 1e-30]), 8)
+    assert s.block_len == 3
+    assert np.allclose(s.etas, [1.0, 1.0 / 3.0, 0.0])
+    # Past half the chain only min(L, N - L) modes can be entangled.
+    s = occupation_spectrum(np.array([0.5, 0.25, 0.1]), 4)
+    assert np.allclose(s.etas, [1.0, 0.0, 0.0])
+
+
+def test_block_spectra_match_reference_route():
+    p = ChainParams(16, 1.0, 0.8, 0.5)
+    g = real_space_gamma(p)
+    for length, s in block_spectra(p, [8, 3, 13]):
+        ref = schmidt_numbers(block_coupling(g, length))
+        assert s.block_len == length
+        assert np.abs(s.etas - ref.etas).max() < 1e-12
+
+
+def test_block_spectra_validate_every_length():
+    p = ChainParams(8, 1.0, 1.0, 0.5)
+    assert block_spectra(p, []) == []
+    for lens in ([0, 4], [4, 8], [-1]):
+        with pytest.raises(ParameterError):
+            block_spectra(p, lens)
+
+
+def test_entropy_even_in_field():
+    hs = np.round(np.arange(0.01, 2.0 + 1e-9, 0.01), 10)
+    worst = 0.0
+    for h in hs:
+        plus = block_entropy_curve(ChainParams(200, 1.0, 0.8, float(h)), [100])[0][1]
+        minus = block_entropy_curve(ChainParams(200, 1.0, 0.8, -float(h)), [100])[0][1]
+        worst = max(worst, abs(plus - minus))
+    assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("h", [0.3, 0.0, -5.0])
+def test_entropy_symmetric_under_complement_large_chain(h):
+    p = ChainParams(1000, 1.0, 0.8, h)
+    lens = [1, 2, 3, 50, 101, 250, 499, 500]
+    curve = dict(block_entropy_curve(p, lens + [1000 - length for length in lens]))
+    for length in lens:
+        assert abs(curve[length] - curve[1000 - length]) <= 1e-11
+
+
+def test_long_chain_block_in_seconds():
+    # N = 100 000 needs no N x N array; a gapped half-block of 500 sites has
+    # saturated well before N = 1000, so both chains give the same entropy.
+    t0 = time.monotonic()
+    big = block_entropy_curve(ChainParams(100_000, 1.0, 1.0, 0.5), [500])[0][1]
+    elapsed = time.monotonic() - t0
+    small = block_entropy_curve(ChainParams(1000, 1.0, 1.0, 0.5), [500])[0][1]
+    assert abs(big - small) <= 1e-9
+    assert elapsed < 10.0

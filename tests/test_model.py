@@ -20,6 +20,13 @@ def test_params_require_multiple_of_four_sites():
     ChainParams(1000)
 
 
+@pytest.mark.parametrize("field", ["j_x", "j_y", "h_field"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_params_reject_non_finite_couplings(field, bad):
+    with pytest.raises(ParameterError, match=field):
+        ChainParams(8, **{field: bad})
+
+
 def test_momentum_grid_four_sites():
     all_k, mode_q = momentum_grid(4)
     assert np.allclose(np.sort(all_k), np.sort([-3 * np.pi / 4, -np.pi / 4, np.pi / 4, 3 * np.pi / 4]))

@@ -11,6 +11,9 @@ from kitaevchain.pairing import (
     block_coupling,
     block_occupations,
     gamma_path_deviation,
+    majorana_block,
+    majorana_occupations,
+    majorana_table,
     pair_amplitudes,
     pair_correlations,
     raw_cross_block,
@@ -216,3 +219,56 @@ def test_correlations_are_physical():
     w = np.linalg.eigvalsh(c)
     assert w.min() > -1e-12
     assert w.max() < 1.0 + 1e-12
+
+
+def test_beta_tables_match_direct_sums():
+    # The FFT tables against the literal momentum sum, at both signs of x
+    # and at the ends of the range.
+    from kitaevchain.pairing import _beta_tables
+
+    for n in (16, 200):
+        p = ChainParams(n, 1.0, 0.7, -0.4)
+        b1, b2 = _beta_tables(p)
+        for x in (-(n - 1), -3, 0, 1, 2, n // 2, n - 1):
+            assert abs(b1[x + n - 1] - beta_coefficients(p, 1, x)) < 1e-14
+            assert abs(b2[x + n - 1] - beta_coefficients(p, 2, x)) < 1e-14
+
+
+def test_gamma_is_real_and_antisymmetric():
+    g = real_space_gamma(ChainParams(12, 1.0, 0.8, -0.5)).gamma
+    assert g.dtype == np.float64
+    assert np.abs(g + g.T).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [16, 200, 1000])
+def test_momentum_block_matches_real_space_correlations(n):
+    # Two independent routes to G = 1 - 2C + 2F: 2 x 2 momentum symbols
+    # against the N x N solves on the paper's gamma.
+    for h in (-0.7, 0.0, 0.3, 5.0):
+        p = ChainParams(n, 1.0, 0.8, h)
+        c, f = pair_correlations(real_space_gamma(p))
+        reference = np.eye(n) - 2.0 * c + 2.0 * f
+        table = majorana_table(p)
+        assert table.shape == (2, 2, n // 2)
+        for length in (1, 2, n // 2, n - 1):
+            block = majorana_block(table, length)
+            assert block.shape == (length, length)
+            err = np.abs(block - reference[:length, :length]).max()
+            assert err <= 1e-12, (h, length, err)
+
+
+def test_momentum_occupations_match_reference_route():
+    p = ChainParams(40, 1.0, 1.3, -0.6)
+    g = real_space_gamma(p)
+    table = majorana_table(p)
+    for length in (1, 7, 20, 39):
+        fast = majorana_occupations(majorana_block(table, length))
+        assert np.abs(fast - block_occupations(g, length)).max() < 1e-13
+        assert fast.min() >= 0.0 and fast.max() <= 0.5
+
+
+def test_majorana_block_length_validated():
+    table = majorana_table(ChainParams(8, 1.0, 1.0, 0.5))
+    for bad in (0, 8, -1):
+        with pytest.raises(ParameterError):
+            majorana_block(table, bad)
