@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +68,8 @@ class FitResult:
 
 
 def _axis_values(start: float, stop: float, step: float) -> list[float]:
+    if not np.all(np.isfinite([start, stop, step])):
+        raise ParameterError(f"scan range must be finite, got from {start} to {stop} step {step}")
     if step <= 0:
         raise ParameterError(f"step must be positive, got {step}")
     if stop < start:
@@ -86,6 +88,13 @@ def _parity_filter(lens: list[int], parity: str) -> list[int]:
     raise ParameterError(f"unknown parity filter {parity!r}")
 
 
+# The chain at one point of each one-parameter axis, from the base point.
+_AXIS_POINTS = {
+    "h-field": lambda p, h: replace(p, h_field=h),
+    "jy-over-jx": lambda p, ratio: replace(p, j_y=ratio * p.j_x),
+}
+
+
 def run_scan(spec: ScanSpec, output: str | None = None) -> list[tuple[float, float]]:
     """Entropy along one axis, rows in axis order; optionally written as CSV.
 
@@ -101,16 +110,11 @@ def run_scan(spec: ScanSpec, output: str | None = None) -> list[tuple[float, flo
         lens = _parity_filter(lens, spec.parity)
         for length, e_bits in entropy_mod.block_entropy_curve(p, lens):
             rows.append((length, e_bits))
-    elif axis == "h-field":
-        for h in _axis_values(spec.start, spec.stop, spec.step):
-            point = ChainParams(p.n_sites, p.j_x, p.j_y, h)
+    elif axis in _AXIS_POINTS:
+        for value in _axis_values(spec.start, spec.stop, spec.step):
+            point = _AXIS_POINTS[axis](p, value)
             curve = entropy_mod.block_entropy_curve(point, [block_len])
-            rows.append((h, curve[0][1]))
-    elif axis == "jy-over-jx":
-        for ratio in _axis_values(spec.start, spec.stop, spec.step):
-            point = ChainParams(p.n_sites, p.j_x, ratio * p.j_x, p.h_field)
-            curve = entropy_mod.block_entropy_curve(point, [block_len])
-            rows.append((ratio, curve[0][1]))
+            rows.append((value, curve[0][1]))
     else:
         raise ParameterError(f"unknown scan axis {spec.axis!r}")
     if output is not None:

@@ -10,7 +10,8 @@ reduced-density eigenvalues are products of one weight per mode, and the
 entropy is the sum of binary entropies H(x_n^2).
 
 block_spectra and block_entropy_curve run the momentum route: one table of G
-per chain, one largest block, one SVD per block size.
+per chain, one largest block, one SVD per block size.  Both routes hand their
+occupations to schmidt_numbers, the one place where nu becomes eta.
 """
 
 from __future__ import annotations
@@ -20,10 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .exceptions import ParameterError, SizeError
 from .model import ChainParams
-from .pairing import _check_block_len, majorana_block, majorana_occupations, majorana_table
+from .pairing import (
+    BlockCoupling,
+    _check_block_len,
+    majorana_block,
+    majorana_occupations,
+    majorana_table,
+)
 
 # Schmidt numbers below this are exact zeros for every downstream purpose:
 # their entropy contribution is below 1e-21 bits.
@@ -64,25 +70,16 @@ class EntanglementSpectrum:
     total_captured: float
 
 
-def schmidt_numbers(c) -> SchmidtSpectrum:
-    """Squared singular values of the coupling, descending, padded with zeros."""
-    sv = linalg.singular_values(c.coupling)
-    etas = sv * sv
-    etas = np.where(etas < ETA_FLOOR, 0.0, etas)
-    if len(etas) < c.block_len:
-        etas = np.concatenate([etas, np.zeros(c.block_len - len(etas))])
-    return SchmidtSpectrum(etas=np.sort(etas)[::-1], block_len=c.block_len)
-
-
-def occupation_spectrum(nu: np.ndarray, n_sites: int) -> SchmidtSpectrum:
+def schmidt_numbers(c: BlockCoupling) -> SchmidtSpectrum:
     """Schmidt numbers eta = nu / (1 - nu) from a block's occupations, descending.
 
     A pure Gaussian state has at most min(L, N - L) modes with occupation
     strictly between 0 and 1, so only the min(L, N - L) largest nu are kept;
     the others, frozen up to rounding, count as exact zeros.
     """
+    nu = c.occupations
     block_len = len(nu)
-    keep = min(block_len, n_sites - block_len)
+    keep = min(block_len, c.n_sites - block_len)
     etas = np.zeros(block_len)
     etas[:keep] = nu[:keep] / (1.0 - nu[:keep])
     etas[etas < ETA_FLOOR] = 0.0
@@ -164,10 +161,11 @@ def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, SchmidtSpectrum
     if not lens:
         return []
     g = majorana_block(majorana_table(p), max(lens))
-    return [
-        (length, occupation_spectrum(majorana_occupations(g[:length, :length]), p.n_sites))
-        for length in lens
-    ]
+    spectra = []
+    for length in lens:
+        nu = majorana_occupations(g[:length, :length])
+        spectra.append((length, schmidt_numbers(BlockCoupling(nu, p.n_sites))))
+    return spectra
 
 
 def block_entropy_curve(p: ChainParams, block_lens) -> list[tuple[int, float]]:

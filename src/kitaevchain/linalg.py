@@ -1,11 +1,12 @@
-"""Dense and iterative linear algebra kernels used by the rest of the package.
+"""Dense and iterative eigensolvers for the exact-diagonalization oracle.
 
-Dense symmetric/Hermitian eigensolves delegate to numpy's LAPACK bindings:
-the entropy pipeline diagonalizes matrices up to 1000 x 1000 inside parameter
-scans, which a hand-rolled Jacobi sweep cannot do at useful speed.  The
-iterative extreme-eigenpair solver is written here directly because the
-exact-diagonalization oracle needs a matrix-free Lanczos with reproducible
-behaviour, which is not something numpy provides.
+The oracle is the only user of this module; the entropy pipeline reduces
+its blocks with numpy's SVD directly (see pairing.majorana_occupations).
+Dense symmetric/Hermitian eigensolves of sector Hamiltonians and reduced
+density matrices delegate to numpy's LAPACK bindings.  The iterative
+extreme-eigenpair solver is written here directly because the oracle needs
+a matrix-free Lanczos with reproducible behaviour, which is not something
+numpy provides.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ def _as_square(m) -> np.ndarray:
 
 
 def symmetric_eigen(m, want_vectors: bool = False) -> EigenResult:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, for the oracle's dense steps.
 
-    The Hermiticity check is relative to the largest entry so that Gram
-    matrices built from large couplings are not rejected for roundoff.
+    The Hermiticity check is relative to the largest entry so that sector
+    Hamiltonians with large couplings are not rejected for roundoff.
     """
     a = _as_square(m)
     scale = max(1.0, float(np.abs(a).max()))
@@ -49,27 +50,6 @@ def symmetric_eigen(m, want_vectors: bool = False) -> EigenResult:
         values, vectors = np.linalg.eigh(a)
         return EigenResult(values=values, vectors=vectors)
     return EigenResult(values=np.linalg.eigvalsh(a))
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values, descending, via the smaller Gram matrix.
-
-    Eigenvalues of M M^dag (or M^dag M, whichever is smaller) are the squared
-    singular values; tiny negative eigenvalues from roundoff are clamped to
-    zero before the square root.
-    """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.size == 0:
-        raise DimensionError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if a.shape[0] <= a.shape[1]:
-        gram = a @ a.conj().T
-    else:
-        gram = a.conj().T @ a
-    # Symmetrize explicitly; the product can drift off Hermitian at roundoff level.
-    gram = 0.5 * (gram + gram.conj().T)
-    w = symmetric_eigen(gram).values
-    w = np.where(w < 0.0, 0.0, w)
-    return np.sqrt(w)[::-1]
 
 
 class _GrowingBasis:

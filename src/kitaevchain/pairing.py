@@ -16,14 +16,6 @@ occupations nu of a block of L sites:
 - the paper's construction (real_space_gamma, pair_correlations,
   block_occupations) builds the N x N site-pair matrix gamma and solves for
   C and F in real space.  It is kept as the independent reference.
-
-Two gamma constructions are kept side by side.  The authoritative one
-carries the beta_2 parity term with a -i coefficient; a variant with +i
-(which is what the kernel convention e^{-iqx} would produce) is retained
-purely for comparison, and their disagreement away from J_x = J_y is
-reported by gamma_path_deviation rather than silently reconciled.  The
-choice between them is pinned by the exact-diagonalization oracle: only the
--i form reproduces the true pair amplitudes of the ground state.
 """
 
 from __future__ import annotations
@@ -101,15 +93,6 @@ def _beta_tables(p: ChainParams) -> tuple[np.ndarray, np.ndarray]:
     return b1, b2
 
 
-def _parity_factors(n_sites: int):
-    sites = np.arange(1, n_sites + 1)
-    alt = (-1.0) ** sites
-    p1 = alt[:, None] - alt[None, :]
-    p2 = alt[:, None] * alt[None, :] - 1.0
-    xi = (sites[:, None] - sites[None, :]) + n_sites - 1
-    return p1, p2, xi
-
-
 def real_space_gamma(p: ChainParams) -> PairingMatrix:
     """The pairing matrix gamma, built by the authoritative direct path.
 
@@ -125,29 +108,13 @@ def real_space_gamma(p: ChainParams) -> PairingMatrix:
     to even sites and its diagonal is exactly zero.
     """
     b1, b2 = _beta_tables(p)
-    p1, p2, xi = _parity_factors(p.n_sites)
+    sites = np.arange(1, p.n_sites + 1)
+    alt = (-1.0) ** sites
+    p1 = alt[:, None] - alt[None, :]
+    p2 = alt[:, None] * alt[None, :] - 1.0
+    xi = (sites[:, None] - sites[None, :]) + p.n_sites - 1
     gamma = p1 * b1.real[xi] + p2 * b2.imag[xi]
     return PairingMatrix(n_sites=p.n_sites, gamma=gamma)
-
-
-def gamma_plus_i_variant(p: ChainParams) -> np.ndarray:
-    """The comparison construction with +i on the beta_2 term.
-
-    Kept so the disagreement between the two sign readings stays measurable;
-    see gamma_path_deviation.  Identical to the direct path whenever
-    J_x = J_y, where beta_2 vanishes identically.
-    """
-    b1, b2 = _beta_tables(p)
-    p1, p2, xi = _parity_factors(p.n_sites)
-    return p1 * b1[xi] + 1j * p2 * b2[xi]
-
-
-def gamma_path_deviation(p: ChainParams) -> float:
-    """Largest entry-wise gap between the antisymmetric parts of the two paths."""
-    direct = real_space_gamma(p).gamma
-    variant = gamma_plus_i_variant(p)
-    d = (direct - direct.T) - (variant - variant.T)
-    return float(np.abs(d).max()) / 2.0
 
 
 def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -260,50 +227,22 @@ def majorana_block(table: np.ndarray, block_len: int) -> np.ndarray:
     return blocks.transpose(2, 0, 3, 1).reshape(2 * k, 2 * k)[:block_len, :block_len]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockCoupling:
     """Cross-block coupling of the exponent in its block-canonical form.
 
     Rotating to the natural fermionic modes of each side removes every
     intra-block term from the exponent and leaves sum_n sqrt(eta_n) A+_n B+_n
-    with one entangled mode pair per nonzero eta_n, so the coupling matrix is
-    diagonal with the sqrt(eta_n) on it, padded to L x (N - L).  Its singular
-    values squared are the occupation odds nu_n / (1 - nu_n) of the block's
-    natural modes, labeled by the minority member of each particle-hole pair
-    so that an unentangled mode carries exactly 0.
+    with eta_n = nu_n / (1 - nu_n), one entangled mode pair per nonzero
+    eta_n.  The coupling is diagonal, so it is held by the block's
+    occupations nu_n (descending, as from majorana_occupations) and the
+    chain length, which bounds how many of them can be entangled.
     """
 
-    block_len: int
-    coupling: np.ndarray
+    occupations: np.ndarray
+    n_sites: int
 
 
 def block_coupling(g: PairingMatrix, block_len: int) -> BlockCoupling:
-    """Canonical cross-block coupling for a bipartition after block_len sites.
-
-    A pure Gaussian state can have at most min(L, N - L) modes with
-    occupation strictly between 0 and 1; every further mode is frozen empty
-    or frozen full and carries no entanglement.  The coupling keeps the
-    min(L, N - L) most entangled modes, ordered by descending odds.
-    """
-    nu = block_occupations(g, block_len)
-    keep = min(block_len, g.n_sites - block_len)
-    kept = nu[:keep]
-    eta = kept / (1.0 - kept)
-    coupling = np.zeros((block_len, g.n_sites - block_len))
-    coupling[np.arange(keep), np.arange(keep)] = np.sqrt(eta)
-    return BlockCoupling(block_len=block_len, coupling=coupling)
-
-
-def raw_cross_block(g: PairingMatrix, block_len: int) -> np.ndarray:
-    """The literal antisymmetrized cross-block slice of gamma.
-
-    These are the bare coefficients of c+_l c+_{m+L} in the exponent with
-    site modes left unrotated.  Discarding the intra-block exponent terms and
-    taking singular values of this slice does NOT reproduce the entanglement
-    of the full state (the intra-block factors are invertible but not
-    unitary, and they shift the Schmidt coefficients), so this matrix is not
-    used by the entropy pipeline; it is kept for quantifying exactly that
-    gap.  See tests and the demos for the recorded comparison.
-    """
-    _check_block_len(g.n_sites, block_len)
-    return g.gamma[:block_len, block_len:] - g.gamma[block_len:, :block_len].T
+    """Canonical cross-block coupling for a bipartition after block_len sites."""
+    return BlockCoupling(block_occupations(g, block_len), g.n_sites)

@@ -207,6 +207,24 @@ def test_scan_rejects_bad_ranges():
     ]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--from", "nan"), ("--from", "-inf"), ("--to", "inf"), ("--step", "nan"),
+])
+@pytest.mark.parametrize("command", [
+    ["scan", "--axis", "h-field", "--n-sites", "16", "--from", "0", "--to", "1", "--step", "0.5"],
+    ["fit", "--n-sites", "16", "--from", "2", "--to", "8", "--step", "2"],
+    ["compare", "--n-sites", "8", "--from", "2", "--to", "4", "--step", "2"],
+])
+def test_non_finite_scan_ranges_are_usage_errors(command, flag, value, capsys):
+    # flag=value, since argparse reads a bare "-inf" as an option.
+    i = command.index(flag)
+    argv = command[:i] + [f"{flag}={value}"] + command[i + 2:]
+    assert cli.main(argv + ["--output", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scan range must be finite")
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["energy"])

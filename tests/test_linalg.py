@@ -88,42 +88,6 @@ def test_rejects_non_square_and_non_hermitian():
         linalg.symmetric_eigen(bad)
 
 
-def test_singular_values_diagonal_case():
-    m = np.zeros((2, 6))
-    m[0, 0] = 3.0
-    m[1, 1] = 2.0
-    assert np.allclose(linalg.singular_values(m), [3.0, 2.0])
-
-
-def test_singular_values_zero_matrix():
-    assert np.allclose(linalg.singular_values(np.zeros((4, 7))), np.zeros(4))
-
-
-def test_singular_values_row_vector():
-    assert np.allclose(linalg.singular_values(np.array([[3.0, 4.0]])), [5.0])
-
-
-def test_singular_values_match_transpose_conjugate():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
-    s1 = linalg.singular_values(m)
-    s2 = linalg.singular_values(m.conj().T)
-    assert np.abs(s1 - s2).max() < 1e-12
-
-
-def test_singular_values_agree_with_gram_eigenvalues():
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((6, 11))
-    gram = m @ m.T
-    from_gram = np.sqrt(np.maximum(linalg.symmetric_eigen(gram).values, 0.0))[::-1]
-    assert np.abs(linalg.singular_values(m) - from_gram).max() < 1e-10
-
-
-def test_singular_values_reject_empty():
-    with pytest.raises(DimensionError):
-        linalg.singular_values(np.zeros((0, 3)))
-
-
 def test_ground_pair_pauli_x():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     val, vec = linalg.iterative_ground_pair(lambda v: a @ v, 2)

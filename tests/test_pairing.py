@@ -10,13 +10,11 @@ from kitaevchain.pairing import (
     beta_coefficients,
     block_coupling,
     block_occupations,
-    gamma_path_deviation,
     majorana_block,
     majorana_occupations,
     majorana_table,
     pair_amplitudes,
     pair_correlations,
-    raw_cross_block,
     real_space_gamma,
 )
 
@@ -115,30 +113,25 @@ def test_gamma_strong_field_suppression():
     assert np.abs(g).max() < 0.01
 
 
-def test_gamma_printed_form_comparison():
-    # The alternative closed-form construction agrees with the direct
-    # momentum-space path when the couplings are equal (its imaginary
-    # channel is empty there) and deviates measurably otherwise; the
-    # deviation is reported, and the direct path feeds everything else.
-    assert gamma_path_deviation(ChainParams(8, 1.0, 1.0, 0.5)) < 1e-12
-    assert gamma_path_deviation(ChainParams(8, 1.0, 1.0, 2.0)) < 1e-12
-    assert gamma_path_deviation(ChainParams(8, 1.0, 0.8, 0.5)) > 1e-3
-
-
 def test_coupling_zero_gamma():
     g = real_space_gamma(ChainParams(8, 0.0, 0.0, 1.0))
     c = block_coupling(g, 3)
-    assert c.coupling.shape == (3, 5)
-    assert np.abs(c.coupling).max() == 0.0
+    assert c.n_sites == 8
+    assert c.occupations.shape == (3,)
+    assert np.abs(c.occupations).max() < 1e-14
+    assert np.array_equal(schmidt_numbers(c).etas, np.zeros(3))
 
 
 def test_coupling_shapes_and_finiteness():
     g = real_space_gamma(ChainParams(8, 1.0, 0.8, 0.5))
-    assert block_coupling(g, 7).coupling.shape == (7, 1)
-    assert block_coupling(g, 1).coupling.shape == (1, 7)
     for length in range(1, 8):
         c = block_coupling(g, length)
-        assert np.all(np.isfinite(c.coupling.view(float)))
+        assert c.occupations.shape == (length,)
+        assert c.n_sites == 8
+        assert np.all(np.isfinite(c.occupations))
+        assert np.all((c.occupations >= 0.0) & (c.occupations <= 0.5))
+        # A cut leaves at most min(L, N - L) entangled mode pairs.
+        assert np.count_nonzero(schmidt_numbers(c).etas) <= min(length, 8 - length)
 
 
 def test_coupling_block_length_validated():
@@ -152,8 +145,8 @@ def test_coupling_depends_only_on_antisymmetric_part():
     g = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5))
     anti = PairingMatrix(n_sites=12, gamma=0.5 * (g.gamma - g.gamma.T))
     for length in (1, 4, 6, 11):
-        a = block_coupling(g, length).coupling
-        b = block_coupling(anti, length).coupling
+        a = block_coupling(g, length).occupations
+        b = block_coupling(anti, length).occupations
         assert np.abs(a - b).max() < 1e-14
 
 
@@ -190,25 +183,6 @@ def test_coupling_reproduces_oracle_entropy_unequal_couplings():
         e_fast = block_entropy(schmidt_numbers(block_coupling(g, length)))
         e_slow = oracle.vn_entropy(oracle.reduced_density(state, length))
         assert abs(e_fast - e_slow) < 1e-8
-
-
-def test_raw_cross_slice_formula_and_its_gap():
-    # raw_cross_block is the literal antisymmetrized cross-block slice of
-    # gamma.  Discarding the intra-block pair terms is a non-unitary local
-    # filter, so the slice's singular values do NOT reproduce the cut
-    # entropy; the canonical coupling exists precisely to close that gap.
-    p = ChainParams(8, 1.0, 1.0, 0.5)
-    g = real_space_gamma(p)
-    raw = raw_cross_block(g, 4)
-    expect = g.gamma[:4, 4:] - g.gamma[4:, :4].T
-    assert np.abs(raw - expect).max() == 0.0
-
-    from kitaevchain.pairing import BlockCoupling
-
-    e_raw = block_entropy(schmidt_numbers(BlockCoupling(block_len=4, coupling=raw)))
-    _, state = oracle.ed_ground(p)
-    e_slow = oracle.vn_entropy(oracle.reduced_density(state, 4))
-    assert abs(e_raw - e_slow) > 0.05
 
 
 def test_correlations_are_physical():
