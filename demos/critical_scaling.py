@@ -8,8 +8,7 @@ coefficient 0.34657.
 
 import numpy as np
 
-from kitaevchain import ChainParams, block_entropy_curve
-from kitaevchain.cli import fit_log_slope
+from kitaevchain import ChainParams, block_entropy_curve, fit_log_slope
 
 TARGET = np.log(2) / 2
 

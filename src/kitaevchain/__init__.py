@@ -8,6 +8,7 @@ chain length; a brute-force diagonalization oracle checks it at small sizes.
 
 from .entropy import (
     EntanglementSpectrum,
+    FitResult,
     SchmidtSpectrum,
     binary_entropy,
     block_entropy,
@@ -15,6 +16,7 @@ from .entropy import (
     block_spectra,
     entanglement_spectrum,
     enumerate_spectrum,
+    fit_log_slope,
     schmidt_numbers,
 )
 from .exceptions import (
@@ -59,6 +61,7 @@ __all__ = [
     "ConvergenceError",
     "DimensionError",
     "EntanglementSpectrum",
+    "FitResult",
     "KitaevChainError",
     "ModeSpectrum",
     "NormalizationError",
@@ -79,6 +82,7 @@ __all__ = [
     "dispersion",
     "entanglement_spectrum",
     "enumerate_spectrum",
+    "fit_log_slope",
     "ground_degeneracy",
     "ground_energy",
     "majorana_block",

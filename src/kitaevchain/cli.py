@@ -58,13 +58,7 @@ class ScanSpec:
     block_len: int | None = None
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    r_squared: float
-    window: tuple[int, int]
-    n_points: int
+MAX_SCAN_POINTS = 10**6
 
 
 def _axis_values(start: float, stop: float, step: float) -> list[float]:
@@ -74,18 +68,11 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
         raise ParameterError(f"step must be positive, got {step}")
     if stop < start:
         raise ParameterError(f"empty range [{start}, {stop}]")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if span >= MAX_SCAN_POINTS:
+        raise ParameterError(f"over {MAX_SCAN_POINTS} points from {start} to {stop} step {step}")
+    count = int(np.floor(span + 1e-9)) + 1
     return [start + k * step for k in range(count)]
-
-
-def _parity_filter(lens: list[int], parity: str) -> list[int]:
-    if parity == "even":
-        return [length for length in lens if length % 2 == 0]
-    if parity == "odd":
-        return [length for length in lens if length % 2 == 1]
-    if parity == "all":
-        return lens
-    raise ParameterError(f"unknown parity filter {parity!r}")
 
 
 # The chain at one point of each one-parameter axis, from the base point.
@@ -107,7 +94,7 @@ def run_scan(spec: ScanSpec, output: str | None = None) -> list[tuple[float, flo
     rows: list[tuple[float, float]] = []
     if axis == "block-len":
         lens = [int(round(v)) for v in _axis_values(spec.start, spec.stop, spec.step)]
-        lens = _parity_filter(lens, spec.parity)
+        lens = entropy_mod._parity_filter(lens, spec.parity)
         for length, e_bits in entropy_mod.block_entropy_curve(p, lens):
             rows.append((length, e_bits))
     elif axis in _AXIS_POINTS:
@@ -131,42 +118,6 @@ def run_compare(p: ChainParams, block_lens, output: str | None = None) -> int:
         print("degenerate ground space: comparison recorded, not judged", file=sys.stderr)
         return 0
     return 0 if result.passed else 1
-
-
-def fit_log_slope(curve, window: tuple[int, int], parity: str = "even") -> FitResult:
-    """Least-squares slope of entropy against log2(block length).
-
-    Points outside the window or of the wrong parity are dropped; at least
-    four must remain.  A constant curve fits its own mean exactly, so its
-    r_squared is 1 by convention.
-    """
-    l_min, l_max = window
-    pts = []
-    for length, e_bits in curve:
-        if length < l_min or length > l_max:
-            continue
-        if parity == "even" and length % 2 != 0:
-            continue
-        if parity == "odd" and length % 2 != 1:
-            continue
-        pts.append((float(length), float(e_bits)))
-    if len(pts) < 4:
-        raise ParameterError(f"need at least 4 points to fit, got {len(pts)}")
-    lengths = np.array([q[0] for q in pts])
-    e_vals = np.array([q[1] for q in pts])
-    x = np.log2(lengths)
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, e_vals, rcond=None)
-    resid = e_vals - (slope * x + intercept)
-    ss_tot = float(((e_vals - e_vals.mean()) ** 2).sum())
-    r_squared = 1.0 if ss_tot < 1e-30 else 1.0 - float((resid**2).sum()) / ss_tot
-    return FitResult(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
-        window=(int(l_min), int(l_max)),
-        n_points=len(pts),
-    )
 
 
 def _params_from(args) -> ChainParams:
@@ -244,7 +195,7 @@ def _cmd_scan(args) -> int:
 def _cmd_compare(args) -> int:
     p = _params_from(args)
     lens = [int(round(v)) for v in _axis_values(args.start, args.stop, args.step)]
-    lens = _parity_filter(lens, args.parity)
+    lens = entropy_mod._parity_filter(lens, args.parity)
     return run_compare(p, lens, args.output)
 
 
@@ -258,7 +209,7 @@ def _cmd_fit(args) -> int:
         parity=args.parity,
     )
     curve = run_scan(spec)
-    fit = fit_log_slope(curve, (int(args.start), int(args.stop)), parity=args.parity)
+    fit = entropy_mod.fit_log_slope(curve, (int(args.start), int(args.stop)), args.parity)
     _write_csv(
         args.output,
         ["slope", "intercept", "r_squared", "l_min", "l_max", "n_points"],

@@ -12,6 +12,7 @@ entropy is the sum of binary entropies H(x_n^2).
 block_spectra and block_entropy_curve run the momentum route: one table of G
 per chain, one largest block, one SVD per block size.  Both routes hand their
 occupations to schmidt_numbers, the one place where nu becomes eta.
+fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
 from __future__ import annotations
@@ -171,3 +172,51 @@ def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, SchmidtSpectrum
 def block_entropy_curve(p: ChainParams, block_lens) -> list[tuple[int, float]]:
     """Entropy in bits at each requested block size, in request order."""
     return [(length, block_entropy(s)) for length, s in block_spectra(p, block_lens)]
+
+
+def _parity_filter(items: list, parity: str, key=lambda item: item) -> list:
+    """The items whose block length key(item) has the given parity, in order."""
+    if parity == "even":
+        return [item for item in items if key(item) % 2 == 0]
+    if parity == "odd":
+        return [item for item in items if key(item) % 2 == 1]
+    if parity == "all":
+        return items
+    raise ParameterError(f"unknown parity filter {parity!r}")
+
+
+@dataclass(frozen=True)
+class FitResult:
+    slope: float
+    intercept: float
+    r_squared: float
+    window: tuple[int, int]
+    n_points: int
+
+
+def fit_log_slope(curve, window: tuple[int, int], parity: str = "even") -> FitResult:
+    """Least-squares slope of entropy against log2(block length).
+
+    Points outside the window or of the wrong parity are dropped; at least
+    four must remain.  A constant curve fits its own mean exactly, so its
+    r_squared is 1 by convention.
+    """
+    l_min, l_max = window
+    in_window = [pt for pt in curve if l_min <= pt[0] <= l_max]
+    pts = _parity_filter(in_window, parity, key=lambda pt: pt[0])
+    if len(pts) < 4:
+        raise ParameterError(f"need at least 4 points to fit, got {len(pts)}")
+    lengths, e_vals = np.array(pts, dtype=float).T
+    x = np.log2(lengths)
+    design = np.vstack([x, np.ones_like(x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, e_vals, rcond=None)
+    resid = e_vals - (slope * x + intercept)
+    ss_tot = float(((e_vals - e_vals.mean()) ** 2).sum())
+    r_squared = 1.0 if ss_tot < 1e-30 else 1.0 - float((resid**2).sum()) / ss_tot
+    return FitResult(
+        slope=float(slope),
+        intercept=float(intercept),
+        r_squared=r_squared,
+        window=(int(l_min), int(l_max)),
+        n_points=len(pts),
+    )

@@ -14,8 +14,8 @@ occupations nu of a block of L sites:
   costs O(N log N + L^3) time and O(N + L^2) memory, and feeds the entropy
   pipeline;
 - the paper's construction (real_space_gamma, pair_correlations,
-  block_occupations) builds the N x N site-pair matrix gamma and solves for
-  C and F in real space.  It is kept as the independent reference.
+  block_occupations) builds the N x N site-pair matrix gamma and takes C and
+  F from one inverse of 1 + gamma - gamma^T.  It is the independent reference.
 """
 
 from __future__ import annotations
@@ -120,27 +120,22 @@ def real_space_gamma(p: ChainParams) -> PairingMatrix:
 def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Ground-state correlation matrices C = <c+_l c_m> and F = <c_l c_m>.
 
-    For the normalized state exp(Z)|0> with antisymmetric coefficient matrix
-    Z = gamma - gamma^T these are C = Z (1 + Z^dag Z)^{-1} Z^dag and
-    F = -(1 + Z Z^dag)^{-1} Z.  Z is real for every parameter choice: its
-    beta_1 part reduces to 2 Re beta_1 and its beta_2 part to 2 Im beta_2
-    once antisymmetrized, so the solve runs in real arithmetic.
+    For exp(Z)|0> with real antisymmetric Z = gamma - gamma^T the general
+    forms C = Z (1 + Z^T Z)^{-1} Z^T and F = -(1 + Z Z^T)^{-1} Z collapse onto
+    one inverse W = (1 + Z)^{-1}.  As Z^T = -Z, 1 + Z^T Z = 1 + Z Z^T =
+    (1 - Z)(1 + Z) commutes with Z and W^T = (1 - Z)^{-1}, so (W + W^T)/2 =
+    (1 + Z^T Z)^{-1} = 1 - C and (W - W^T)/2 = F: G = 1 - 2C + 2F = 2W - 1,
+    the Cayley form of a pure Gaussian state.  Every singular value of 1 + Z
+    is at least 1, so this is better conditioned than the Gram form; C and F
+    are exactly symmetric and antisymmetric by construction.
     """
     if g._correlations is not None:
         return g._correlations
-    z = g.gamma - g.gamma.T
-    imag_scale = float(np.abs(z.imag).max()) if np.iscomplexobj(z) else 0.0
-    if imag_scale > 1e-10 * max(1.0, float(np.abs(z).max())):
-        raise ParameterError(
-            f"antisymmetrized pairing matrix has imaginary part {imag_scale:.3e}"
-        )
-    z = np.ascontiguousarray(z.real) if np.iscomplexobj(z) else z
+    if np.iscomplexobj(g.gamma):
+        raise ParameterError(f"pairing matrix must be real, got dtype {g.gamma.dtype}")
     eye = np.eye(g.n_sites)
-    c = z @ np.linalg.solve(eye + z.T @ z, z.T)
-    f = -np.linalg.solve(eye + z @ z.T, z)
-    c = 0.5 * (c + c.T)
-    f = 0.5 * (f - f.T)
-    g._correlations = (c, f)
+    w = np.linalg.inv(eye + g.gamma - g.gamma.T)
+    g._correlations = (eye - 0.5 * (w + w.T), 0.5 * (w - w.T))
     return g._correlations
 
 
@@ -165,8 +160,8 @@ def majorana_occupations(block: np.ndarray) -> np.ndarray:
 def block_occupations(g: PairingMatrix, block_len: int) -> np.ndarray:
     """Natural-mode occupations of the first block_len sites, descending.
 
-    The reference route: C and F come from gamma through the two N x N
-    solves of pair_correlations, and the block of G = 1 - 2C + 2F goes
+    The reference route: C and F come from gamma through the one N x N
+    inverse of pair_correlations, and the block of G = 1 - 2C + 2F goes
     through majorana_occupations.
     """
     _check_block_len(g.n_sites, block_len)

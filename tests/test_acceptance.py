@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from kitaevchain import cli, oracle
+from kitaevchain import fit_log_slope, oracle
 from kitaevchain.entropy import (
     block_entropy,
     block_entropy_curve,
@@ -111,9 +111,9 @@ def test_criterion_4_area_law(plateau_curves):
 def test_criterion_5_critical_log_scaling():
     p = ChainParams(1000, 1.0, 1.0, 0.0)
     curve = block_entropy_curve(p, range(8, 257, 2))
-    fit_full = cli.fit_log_slope(curve, (8, 256))
-    fit_lo = cli.fit_log_slope(curve, (8, 128))
-    fit_hi = cli.fit_log_slope(curve, (16, 256))
+    fit_full = fit_log_slope(curve, (8, 256))
+    fit_lo = fit_log_slope(curve, (8, 128))
+    fit_hi = fit_log_slope(curve, (16, 256))
     slope_target = np.log(2) / 2
     slope_err = abs(fit_full.slope - slope_target) / slope_target
     window_gap = abs(fit_lo.slope - fit_hi.slope) / max(abs(fit_lo.slope), abs(fit_hi.slope))

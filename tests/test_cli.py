@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kitaevchain
-from kitaevchain import cli
+from kitaevchain import cli, fit_log_slope
 from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import ChainParams, ground_energy
 
@@ -225,6 +225,22 @@ def test_non_finite_scan_ranges_are_usage_errors(command, flag, value, capsys):
     assert captured.err.startswith("error: scan range must be finite")
 
 
+@pytest.mark.parametrize("start,stop,step", [("0", "1e12", "1e-6"), ("0", "1e300", "1e-300")])
+@pytest.mark.parametrize("command", [
+    ["scan", "--axis", "block-len", "--n-sites", "16"],
+    ["fit", "--n-sites", "16"],
+    ["compare", "--n-sites", "8"],
+])
+def test_oversized_scan_ranges_are_usage_errors(command, start, stop, step, capsys):
+    # 1e18 + 1 points, and a point count that overflows int: both must be
+    # refused before any list of points is built.
+    argv = command + ["--from", start, "--to", stop, "--step", step, "--output", "-"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: over {cli.MAX_SCAN_POINTS} points")
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["energy"])
@@ -234,7 +250,7 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 def test_fit_exact_line():
     curve = [(length, 0.5 * np.log2(length) + 0.3) for length in range(2, 65, 2)]
-    fit = cli.fit_log_slope(curve, (2, 64))
+    fit = fit_log_slope(curve, (2, 64))
     assert abs(fit.slope - 0.5) < 1e-12
     assert abs(fit.intercept - 0.3) < 1e-12
     assert abs(fit.r_squared - 1.0) < 1e-12
@@ -242,21 +258,27 @@ def test_fit_exact_line():
 
 def test_fit_constant_curve():
     curve = [(length, 1.7) for length in range(2, 33, 2)]
-    fit = cli.fit_log_slope(curve, (2, 32))
+    fit = fit_log_slope(curve, (2, 32))
     assert abs(fit.slope) < 1e-12
     assert fit.r_squared == 1.0
 
 
 def test_fit_honors_window_and_parity():
     curve = [(length, float(length)) for length in range(1, 33)]
-    fit = cli.fit_log_slope(curve, (8, 16), parity="even")
+    fit = fit_log_slope(curve, (8, 16), parity="even")
     assert fit.n_points == 5
     assert fit.window == (8, 16)
 
 
 def test_fit_requires_enough_points():
     with pytest.raises(ParameterError):
-        cli.fit_log_slope([(2, 1.0), (4, 2.0), (8, 3.0)], (2, 8))
+        fit_log_slope([(2, 1.0), (4, 2.0), (8, 3.0)], (2, 8))
+
+
+def test_fit_rejects_unknown_parity():
+    curve = [(length, float(length)) for length in range(1, 33)]
+    with pytest.raises(ParameterError, match="unknown parity filter 'prime'"):
+        fit_log_slope(curve, (8, 16), parity="prime")
 
 
 def _run_python(*args, cwd):

@@ -1,8 +1,8 @@
 """Every script in demos/ runs against the current package and ends as shown.
 
-The demos import public names and cli.fit_log_slope, so a rename or a
-deletion in the package breaks them; each runs as __main__ here and its last
-printed line is matched.
+The demos import public names only, fit_log_slope among them, so a rename
+or a deletion in the package breaks them; each runs as __main__ here and its
+last printed line is matched.
 """
 
 import re

@@ -188,8 +188,8 @@ def test_coupling_reproduces_oracle_entropy_unequal_couplings():
 def test_correlations_are_physical():
     g = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5))
     c, f = pair_correlations(g)
-    assert np.abs(c - c.T).max() < 1e-12
-    assert np.abs(f + f.T).max() < 1e-12
+    assert np.array_equal(c, c.T)
+    assert np.array_equal(f, -f.T)
     w = np.linalg.eigvalsh(c)
     assert w.min() > -1e-12
     assert w.max() < 1.0 + 1e-12
@@ -217,9 +217,12 @@ def test_gamma_is_real_and_antisymmetric():
 @pytest.mark.parametrize("n", [16, 200, 1000])
 def test_momentum_block_matches_real_space_correlations(n):
     # Two independent routes to G = 1 - 2C + 2F: 2 x 2 momentum symbols
-    # against the N x N solves on the paper's gamma.
-    for h in (-0.7, 0.0, 0.3, 5.0):
-        p = ChainParams(n, 1.0, 0.8, h)
+    # against the N x N inverse on the paper's gamma.  At J_y = 1, h = -5
+    # the matrix 1 + Z^T Z is ill-conditioned: solving with it instead of
+    # inverting 1 + Z lands ~1e-12 off at N = 1000.
+    points = [(0.8, -0.7), (0.8, 0.0), (0.8, 0.3), (0.8, 5.0), (1.0, -5.0)]
+    for j_y, h in points:
+        p = ChainParams(n, 1.0, j_y, h)
         c, f = pair_correlations(real_space_gamma(p))
         reference = np.eye(n) - 2.0 * c + 2.0 * f
         table = majorana_table(p)
@@ -228,7 +231,22 @@ def test_momentum_block_matches_real_space_correlations(n):
             block = majorana_block(table, length)
             assert block.shape == (length, length)
             err = np.abs(block - reference[:length, :length]).max()
-            assert err <= 1e-12, (h, length, err)
+            assert err <= 1e-13, (j_y, h, length, err)
+
+
+@pytest.mark.parametrize("j_y,h", [(1.0, 0.0), (0.8, 0.3), (1.3, -0.7), (1.0, -5.0)])
+def test_reference_correlations_describe_a_pure_state(j_y, h):
+    # A pure Gaussian state has an orthogonal G = 1 - 2C + 2F.
+    n = 200
+    c, f = pair_correlations(real_space_gamma(ChainParams(n, 1.0, j_y, h)))
+    g = np.eye(n) - 2.0 * c + 2.0 * f
+    assert np.abs(g @ g.T - np.eye(n)).max() <= 1e-12
+
+
+def test_complex_gamma_rejected():
+    g = real_space_gamma(ChainParams(8, 1.0, 0.8, 0.5))
+    with pytest.raises(ParameterError, match="must be real"):
+        pair_correlations(PairingMatrix(n_sites=8, gamma=g.gamma.astype(complex)))
 
 
 def test_momentum_occupations_match_reference_route():
