@@ -1,8 +1,9 @@
 """Block entanglement entropy and spectrum from natural-mode occupations.
 
 A block of L sites has L natural fermionic modes with occupations nu_n in
-[0, 1/2], read from the singular values of the real L x L block of
-G = 1 - 2C + 2F (see pairing.majorana_occupations).  In Schmidt form the
+[0, 1/2], read from the eigenvalues of the symmetric L x L block of G D,
+the ground-state correlations G = 1 - 2C + 2F with columns signed by
+sublattice (see pairing.majorana_occupations).  In Schmidt form the
 state is sum_n sqrt(eta_n) A+_n B+_n with eta_n = nu_n / (1 - nu_n), and each
 mode pair contributes independently: the normalized two-level weights are
 x_n^2 = 1/(1 + eta_n) = 1 - nu_n and y_n^2 = eta_n/(1 + eta_n) = nu_n, the
@@ -10,8 +11,9 @@ reduced-density eigenvalues are products of one weight per mode, and the
 entropy is the sum of binary entropies H(x_n^2).
 
 block_spectra and block_entropy_curve run the momentum route: one table of G
-per chain, one largest block, one SVD per block size.  Both routes hand their
-occupations to schmidt_numbers, the one place where nu becomes eta.
+per chain, one largest block, one symmetric eigensolve per block size.  Both
+routes hand their occupations to schmidt_numbers, the one place where nu
+becomes eta.
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -32,9 +34,12 @@ from .pairing import (
     majorana_table,
 )
 
-# Schmidt numbers below this are exact zeros for every downstream purpose:
-# their entropy contribution is below 1e-21 bits.
-ETA_FLOOR = 1e-24
+# Schmidt numbers below this are eigensolver rounding noise on frozen modes
+# and count as exact zeros.  eigvalsh leaves such a mode at nu of a few eps,
+# growing with the block length (7.6e-15 at most, measured up to L = 4000);
+# each one kept would add up to 4e-13 bits, and hundreds of them add up.  A
+# real mode below the floor carries under 5e-13 bits.
+ETA_FLOOR = 1e-14
 
 ENUMERATION_LIMIT = 20
 
@@ -153,8 +158,8 @@ def enumerate_spectrum(s: SchmidtSpectrum) -> np.ndarray:
 def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, SchmidtSpectrum]]:
     """Schmidt spectrum of the first L sites for each requested L, in order.
 
-    The table of G and its largest requested block are built once; each
-    block size takes the SVD of a leading slice of that block.
+    The table of G and its largest requested signed block are built once;
+    each block size takes the eigenvalues of a leading slice of that block.
     """
     lens = [int(length) for length in block_lens]
     for length in lens:

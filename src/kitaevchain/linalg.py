@@ -1,7 +1,8 @@
 """Dense and iterative eigensolvers for the exact-diagonalization oracle.
 
 The oracle is the only user of this module; the entropy pipeline reduces
-its blocks with numpy's SVD directly (see pairing.majorana_occupations).
+its symmetric blocks with numpy's eigvalsh directly (see
+pairing.majorana_occupations).
 Dense symmetric/Hermitian eigensolves of sector Hamiltonians and reduced
 density matrices delegate to numpy's LAPACK bindings.  The iterative
 extreme-eigenpair solver is written here directly because the oracle needs

@@ -4,9 +4,13 @@ Majorana correlation blocks that carry block entanglement.
 The even-sector ground state can be written as exp(Z) acting on the fermion
 vacuum, with Z = sum_{l<m} z_{lm} c+_l c+_m.  This module builds the momentum
 pair amplitudes and their Fourier coefficients beta_n(x).  From there two
-routes reach the real matrix G = 1 - 2C + 2F of ground-state correlations,
-whose leading L x L block has singular values |1 - 2 nu| for the natural-mode
-occupations nu of a block of L sites:
+routes reach the real matrix G = 1 - 2C + 2F of ground-state correlations.
+The pairing couples odd sites only to even sites, so with the sublattice
+signs D = diag((-1)^j) (0-based sites j) D G D = G^T: every leading L x L
+block of G D is symmetric, and its eigenvalues are +-(1 - 2 nu) for the
+natural-mode occupations nu of a block of L sites.  Both routes lay out
+that signed block and hand it to majorana_occupations, one symmetric
+eigensolve per block:
 
 - the momentum route (majorana_table, majorana_block) turns Z into 2 x 2
   symbols over the two-site unit cell, forms C and F there in closed form,
@@ -145,29 +149,46 @@ def _check_block_len(n_sites: int, block_len: int) -> None:
 
 
 def majorana_occupations(block: np.ndarray) -> np.ndarray:
-    """Natural-mode occupations of a block from its L x L block of G, descending.
+    """Natural-mode occupations of a block from its block A of G D, descending.
 
     The block's reduced state is Gaussian and factorizes over fermionic
     modes with occupations in particle-hole pairs (nu, 1 - nu).  The real
-    block of G = 1 - 2C + 2F has singular values |1 - 2 nu|, so one SVD
-    gives the minority member nu = (1 - sigma) / 2 of each pair: a frozen
-    (empty or full) mode reports 0 and a maximally entangled one 1/2.
+    L x L block G_L of G = 1 - 2C + 2F has singular values |1 - 2 nu|.  Z
+    couples only opposite sublattices, so D Z D = -Z with D = diag((-1)^j),
+    hence D (1 + Z)^{-1} D = (1 - Z)^{-1} = ((1 + Z)^{-1})^T and, as
+    G = 2 (1 + Z)^{-1} - 1, D G D = G^T.  Then A = G_L D = D G_L^T is
+    symmetric, and as D is orthogonal its |eigenvalues| are the singular
+    values of G_L: one symmetric eigensolve gives the minority member
+    nu = (1 - |lambda|) / 2 of each pair.  A frozen (empty or full) mode
+    reports 0 and a maximally entangled one 1/2.  Only the lower triangle of
+    the block is read.
+
+    For even L the occupations come in degenerate pairs.  Let J reverse the
+    block's sites and K = J D.  Reversal swaps the sublattices, so
+    J D J = -D, K^2 = -1 and K^T = -K.  The block's centre is the centre of
+    a bond, and reflecting the ring there keeps both bond types, which makes
+    G_L persymmetric, J G_L^T J = G_L; so
+    K A K^T = J D A D J = J G_L^T D J = -G_L D = -A.
+    The eigenvalues of A thus come in +-lambda pairs, and an even L leaves
+    the zero eigenvalue an even multiplicity too, so every |lambda| and
+    hence every nu is at least doubly degenerate.  An odd L has no such K.
     """
-    sigma = np.linalg.svd(block, compute_uv=False)
-    return np.maximum(0.5 * (1.0 - sigma[::-1]), 0.0)
+    lam = np.linalg.eigvalsh(block)
+    return np.maximum(0.5 * (1.0 - np.sort(np.abs(lam))), 0.0)
 
 
 def block_occupations(g: PairingMatrix, block_len: int) -> np.ndarray:
     """Natural-mode occupations of the first block_len sites, descending.
 
     The reference route: C and F come from gamma through the one N x N
-    inverse of pair_correlations, and the block of G = 1 - 2C + 2F goes
-    through majorana_occupations.
+    inverse of pair_correlations, and the block of G = 1 - 2C + 2F, its
+    columns signed by sublattice, goes through majorana_occupations.
     """
     _check_block_len(g.n_sites, block_len)
     c, f = pair_correlations(g)
     cb, fb = c[:block_len, :block_len], f[:block_len, :block_len]
-    return majorana_occupations(np.eye(block_len) - 2.0 * cb + 2.0 * fb)
+    signs = (-1.0) ** np.arange(block_len)
+    return majorana_occupations((np.eye(block_len) - 2.0 * cb + 2.0 * fb) * signs)
 
 
 def majorana_table(p: ChainParams) -> np.ndarray:
@@ -207,17 +228,21 @@ def majorana_table(p: ChainParams) -> np.ndarray:
 
 
 def majorana_block(table: np.ndarray, block_len: int) -> np.ndarray:
-    """The leading block_len x block_len block of G, from a majorana_table.
+    """The leading block_len x block_len block of G D, from a majorana_table.
 
-    Every leading block of this block is the matching block of G, so one
-    call serves every smaller block size.
+    D = diag((-1)^j) signs the columns by sublattice, which makes the block
+    symmetric (see majorana_occupations).  Every leading block of this block
+    is the matching block of G D, so one call serves every smaller block
+    size.
     """
     cells = table.shape[2]
     _check_block_len(2 * cells, block_len)
     k = (block_len + 1) // 2
-    # G(d) for d = -(k - 1) .. k - 1 along the last axis; a sliding window,
-    # reversed, lays it out as the Toeplitz blocks [s, t, a, b] = G_st(a - b).
+    # G(d) for d = -(k - 1) .. k - 1 along the last axis, with the odd
+    # sublattice's columns negated; a sliding window, reversed, lays it out
+    # as the Toeplitz blocks [s, t, a, b] = (-1)^t G_st(a - b).
     signed = np.concatenate([-table[:, :, cells - k + 1 :], table[:, :, :k]], axis=2)
+    signed[:, 1] *= -1.0
     blocks = sliding_window_view(signed, k, axis=2)[:, :, :, ::-1]
     return blocks.transpose(2, 0, 3, 1).reshape(2 * k, 2 * k)[:block_len, :block_len]
 

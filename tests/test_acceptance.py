@@ -223,9 +223,9 @@ def test_criterion_9_performance():
     t0 = time.monotonic()
     block_entropy_curve(p, [500])
     single_time = time.monotonic() - t0
-    ok = curve_time < 60.0 and single_time < 5.0
+    ok = curve_time < 10.0 and single_time < 1.0
     line = report(
-        9, ok, f"full curve {curve_time:.1f}s (< 60), single L=500 {single_time:.2f}s (< 5)"
+        9, ok, f"full curve {curve_time:.1f}s (< 10), single L=500 {single_time:.2f}s (< 1)"
     )
-    assert curve_time < 60.0, line
-    assert single_time < 5.0, line
+    assert curve_time < 10.0, line
+    assert single_time < 1.0, line

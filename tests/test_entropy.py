@@ -231,7 +231,16 @@ def test_entropy_symmetric_under_complement_large_chain(h):
     lens = [1, 2, 3, 50, 101, 250, 499, 500]
     curve = dict(block_entropy_curve(p, lens + [1000 - length for length in lens]))
     for length in lens:
-        assert abs(curve[length] - curve[1000 - length]) <= 1e-11
+        assert abs(curve[length] - curve[1000 - length]) <= 1e-12
+
+
+@pytest.mark.parametrize("j_y,h", [(1.0, 0.5), (0.8, 0.3), (1.0, -5.0), (1.3, -0.7)])
+def test_gapped_entropy_saturates_in_chain_length(j_y, h):
+    # Away from the gapless point a half block far longer than the
+    # correlation length has saturated: doubling N and L leaves S unchanged.
+    small = block_entropy_curve(ChainParams(1000, 1.0, j_y, h), [500])[0][1]
+    large = block_entropy_curve(ChainParams(2000, 1.0, j_y, h), [1000])[0][1]
+    assert abs(large - small) <= 1e-12
 
 
 def test_long_chain_block_in_seconds():

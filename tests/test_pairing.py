@@ -166,8 +166,8 @@ def test_occupations_product_state():
 
 
 def test_coupling_reproduces_oracle_entropy_equal_couplings():
-    """Singular values of the coupling carry the whole cut: their entropy
-    must land on brute force."""
+    """The block's occupations carry the whole cut: their entropy must land
+    on brute force."""
     p = ChainParams(8, 1.0, 1.0, 0.5)
     e_fast = block_entropy(schmidt_numbers(block_coupling(real_space_gamma(p), 4)))
     _, state = oracle.ed_ground(p)
@@ -214,24 +214,69 @@ def test_gamma_is_real_and_antisymmetric():
     assert np.abs(g + g.T).max() < 1e-15
 
 
+CROSS_ROUTE_POINTS = [(0.8, -0.7), (0.8, 0.0), (0.8, 0.3), (0.8, 5.0), (1.0, -5.0)]
+
+
 @pytest.mark.parametrize("n", [16, 200, 1000])
 def test_momentum_block_matches_real_space_correlations(n):
     # Two independent routes to G = 1 - 2C + 2F: 2 x 2 momentum symbols
     # against the N x N inverse on the paper's gamma.  At J_y = 1, h = -5
     # the matrix 1 + Z^T Z is ill-conditioned: solving with it instead of
-    # inverting 1 + Z lands ~1e-12 off at N = 1000.
-    points = [(0.8, -0.7), (0.8, 0.0), (0.8, 0.3), (0.8, 5.0), (1.0, -5.0)]
-    for j_y, h in points:
+    # inverting 1 + Z lands ~1e-12 off at N = 1000.  Both sides carry the
+    # sublattice signs D = diag((-1)^j) on their columns; D G D = G^T makes
+    # each signed block symmetric, and the eigensolve reads only its lower
+    # triangle.
+    for j_y, h in CROSS_ROUTE_POINTS:
         p = ChainParams(n, 1.0, j_y, h)
         c, f = pair_correlations(real_space_gamma(p))
-        reference = np.eye(n) - 2.0 * c + 2.0 * f
+        reference = (np.eye(n) - 2.0 * c + 2.0 * f) * (-1.0) ** np.arange(n)
+        assert np.abs(reference - reference.T).max() <= 1e-15, (j_y, h)
         table = majorana_table(p)
         assert table.shape == (2, 2, n // 2)
         for length in (1, 2, n // 2, n - 1):
             block = majorana_block(table, length)
             assert block.shape == (length, length)
+            assert np.abs(block - block.T).max() <= 1e-15, (j_y, h, length)
             err = np.abs(block - reference[:length, :length]).max()
             assert err <= 1e-13, (j_y, h, length, err)
+
+
+SVD_GRID = [(j_y, h) for j_y in (0.8, 1.0, 1.3) for h in (-5.0, -0.7, 0.0, 0.3, 5.0, 20.0)]
+
+
+@pytest.mark.parametrize("n", [16, 200, 1000])
+def test_occupations_match_svd_of_unsigned_block(n):
+    # |eigenvalues| of the signed block against the singular values of the
+    # plain block of G.  At N = 1000 the blocks stop at N/2, which keeps the
+    # 18 reference SVDs to a few seconds.
+    lens = (1, 2, 7, n // 2 - 1, n // 2) + ((n - 1,) if n <= 200 else ())
+    for j_y, h in SVD_GRID:
+        signed = majorana_block(majorana_table(ChainParams(n, 1.0, j_y, h)), max(lens))
+        for length in lens:
+            block = signed[:length, :length]
+            sigma = np.linalg.svd(block * (-1.0) ** np.arange(length), compute_uv=False)
+            nu = majorana_occupations(block)
+            err = np.abs(nu - np.maximum(0.5 * (1.0 - sigma[::-1]), 0.0)).max()
+            assert err <= 1e-13, (j_y, h, length, err)
+
+
+@pytest.mark.parametrize("n", [12, 16, 200, 1000])
+def test_even_blocks_pair_their_occupations(n):
+    # K = J D (site reversal times sublattice sign) has K^2 = -1 and
+    # K A K^T = -A on an even block A, so its eigenvalues pair as +-lambda
+    # and the occupations as nu_2k = nu_2k+1.  Odd blocks are not paired.
+    lens = (2, 4, n // 2) + ((n - 2,) if n <= 200 else (n // 2 + 2,))
+    for j_y in (0.8, 1.0, 1.3):
+        for h in (-5.0, -0.7, 0.0, 0.3, 5.0):
+            signed = majorana_block(majorana_table(ChainParams(n, 1.0, j_y, h)), max(lens))
+            for length in lens:
+                block = signed[:length, :length]
+                k = np.eye(length)[::-1] * (-1.0) ** np.arange(length)
+                assert np.array_equal(k @ k, -np.eye(length))
+                assert np.abs(k @ block @ k.T + block).max() <= 1e-15, (j_y, h, length)
+                nu = majorana_occupations(block)
+                gap = np.abs(nu[0::2] - nu[1::2]).max()
+                assert gap <= 1e-13, (j_y, h, length, gap)
 
 
 @pytest.mark.parametrize("j_y,h", [(1.0, 0.0), (0.8, 0.3), (1.3, -0.7), (1.0, -5.0)])
