@@ -10,7 +10,6 @@ from .entropy import (
     EntanglementSpectrum,
     FitResult,
     SchmidtSpectrum,
-    binary_entropy,
     block_entropy,
     block_entropy_curve,
     block_spectra,
@@ -32,17 +31,14 @@ from .exceptions import (
 )
 from .model import (
     ChainParams,
-    ModeSpectrum,
     dispersion,
     ground_degeneracy,
     ground_energy,
-    mode_eigenvalues,
     momentum_grid,
 )
 from .pairing import (
     BlockCoupling,
     PairingMatrix,
-    beta_coefficients,
     block_coupling,
     block_occupations,
     majorana_block,
@@ -63,7 +59,6 @@ __all__ = [
     "EntanglementSpectrum",
     "FitResult",
     "KitaevChainError",
-    "ModeSpectrum",
     "NormalizationError",
     "PairingMatrix",
     "ParameterError",
@@ -72,8 +67,6 @@ __all__ = [
     "SizeError",
     "SymmetryError",
     "ValidityError",
-    "beta_coefficients",
-    "binary_entropy",
     "block_coupling",
     "block_entropy",
     "block_entropy_curve",
@@ -88,7 +81,6 @@ __all__ = [
     "majorana_block",
     "majorana_occupations",
     "majorana_table",
-    "mode_eigenvalues",
     "momentum_grid",
     "pair_amplitudes",
     "pair_correlations",

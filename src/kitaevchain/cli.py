@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,23 +41,6 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
             emit(stream)
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """One-axis sweep: which knob moves, over what range, at what base point.
-
-    block_len is the block of the h-field and jy-over-jx axes; None means
-    half the chain.
-    """
-
-    axis: str
-    params: ChainParams
-    start: float
-    stop: float
-    step: float
-    parity: str = "all"
-    block_len: int | None = None
-
-
 MAX_SCAN_POINTS = 10**6
 
 
@@ -75,49 +58,22 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
+def _block_lens(args) -> list[int]:
+    """The block lengths of --from/--to/--step, rounded, of the chosen parity; none is an error."""
+    lens = [int(round(v)) for v in _axis_values(args.start, args.stop, args.step)]
+    lens = entropy_mod._parity_filter(lens, args.parity)
+    if not lens:
+        raise ParameterError(
+            f"no {args.parity} block length from {args.start} to {args.stop} step {args.step}"
+        )
+    return lens
+
+
 # The chain at one point of each one-parameter axis, from the base point.
 _AXIS_POINTS = {
     "h-field": lambda p, h: replace(p, h_field=h),
     "jy-over-jx": lambda p, ratio: replace(p, j_y=ratio * p.j_x),
 }
-
-
-def run_scan(spec: ScanSpec, output: str | None = None) -> list[tuple[float, float]]:
-    """Entropy along one axis, rows in axis order; optionally written as CSV.
-
-    Returns the rows as well so callers can feed them to the fitter without
-    reparsing text.
-    """
-    p = spec.params
-    axis = spec.axis.replace("_", "-")
-    block_len = p.n_sites // 2 if spec.block_len is None else spec.block_len
-    rows: list[tuple[float, float]] = []
-    if axis == "block-len":
-        lens = [int(round(v)) for v in _axis_values(spec.start, spec.stop, spec.step)]
-        lens = entropy_mod._parity_filter(lens, spec.parity)
-        for length, e_bits in entropy_mod.block_entropy_curve(p, lens):
-            rows.append((length, e_bits))
-    elif axis in _AXIS_POINTS:
-        for value in _axis_values(spec.start, spec.stop, spec.step):
-            point = _AXIS_POINTS[axis](p, value)
-            curve = entropy_mod.block_entropy_curve(point, [block_len])
-            rows.append((value, curve[0][1]))
-    else:
-        raise ParameterError(f"unknown scan axis {spec.axis!r}")
-    if output is not None:
-        _write_csv(output, [axis.replace("-", "_"), "entropy_bits"], rows)
-    return rows
-
-
-def run_compare(p: ChainParams, block_lens, output: str | None = None) -> int:
-    """Fast entropies against the diagonalization oracle; 0 pass, 1 fail."""
-    result = oracle.compare_entropies(p, list(block_lens), allow_degenerate=True)
-    if output is not None:
-        _write_csv(output, ["L", "fast", "oracle", "abs_diff"], result.rows)
-    if result.passed is None:
-        print("degenerate ground space: comparison recorded, not judged", file=sys.stderr)
-        return 0
-    return 0 if result.passed else 1
 
 
 def _params_from(args) -> ChainParams:
@@ -179,36 +135,31 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    spec = ScanSpec(
-        axis=args.axis,
-        params=_params_from(args),
-        start=args.start,
-        stop=args.stop,
-        step=args.step,
-        parity=args.parity,
-        block_len=args.block_size,
-    )
-    run_scan(spec, args.output)
+    p = _params_from(args)
+    if args.axis == "block-len":
+        rows = entropy_mod.block_entropy_curve(p, _block_lens(args))
+    else:
+        block_len = p.n_sites // 2 if args.block_size is None else args.block_size
+        point = _AXIS_POINTS[args.axis]
+        rows = [
+            (value, entropy_mod.block_entropy_curve(point(p, value), [block_len])[0][1])
+            for value in _axis_values(args.start, args.stop, args.step)
+        ]
+    _write_csv(args.output, [args.axis.replace("-", "_"), "entropy_bits"], rows)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    p = _params_from(args)
-    lens = [int(round(v)) for v in _axis_values(args.start, args.stop, args.step)]
-    lens = entropy_mod._parity_filter(lens, args.parity)
-    return run_compare(p, lens, args.output)
+    result = oracle.compare_entropies(_params_from(args), _block_lens(args), allow_degenerate=True)
+    _write_csv(args.output, ["L", "fast", "oracle", "abs_diff"], result.rows)
+    if result.passed is None:
+        print("degenerate ground space: comparison recorded, not judged", file=sys.stderr)
+        return 0
+    return 0 if result.passed else 1
 
 
 def _cmd_fit(args) -> int:
-    spec = ScanSpec(
-        axis="block-len",
-        params=_params_from(args),
-        start=args.start,
-        stop=args.stop,
-        step=args.step,
-        parity=args.parity,
-    )
-    curve = run_scan(spec)
+    curve = entropy_mod.block_entropy_curve(_params_from(args), _block_lens(args))
     fit = entropy_mod.fit_log_slope(curve, (int(args.start), int(args.stop)), args.parity)
     _write_csv(
         args.output,

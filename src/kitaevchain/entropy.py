@@ -3,17 +3,17 @@
 A block of L sites has L natural fermionic modes with occupations nu_n in
 [0, 1/2], read from the eigenvalues of the symmetric L x L block of G D,
 the ground-state correlations G = 1 - 2C + 2F with columns signed by
-sublattice (see pairing.majorana_occupations).  In Schmidt form the
-state is sum_n sqrt(eta_n) A+_n B+_n with eta_n = nu_n / (1 - nu_n), and each
-mode pair contributes independently: the normalized two-level weights are
-x_n^2 = 1/(1 + eta_n) = 1 - nu_n and y_n^2 = eta_n/(1 + eta_n) = nu_n, the
-reduced-density eigenvalues are products of one weight per mode, and the
-entropy is the sum of binary entropies H(x_n^2).
+sublattice (see pairing.majorana_occupations).  Each natural mode of the
+block is entangled with one mode outside it and contributes independently:
+its two reduced-density weights are 1 - nu_n and nu_n, the reduced-density
+eigenvalues are products of one weight per mode, and the entropy is the sum
+of binary entropies H(nu_n).  No Schmidt numbers eta = nu / (1 - nu) are
+formed: the way back to the weights would only add rounding.
 
 block_spectra and block_entropy_curve run the momentum route: one table of G
 per chain, one largest block, one symmetric eigensolve per block size.  Both
-routes hand their occupations to schmidt_numbers, the one place where nu
-becomes eta.
+routes hand their occupations to schmidt_numbers, which keeps the ones that
+can be entangled.
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -34,38 +34,25 @@ from .pairing import (
     majorana_table,
 )
 
-# Schmidt numbers below this are eigensolver rounding noise on frozen modes
-# and count as exact zeros.  eigvalsh leaves such a mode at nu of a few eps,
+# Occupations below this are eigensolver rounding noise on frozen modes and
+# count as exact zeros.  eigvalsh leaves such a mode at nu of a few eps,
 # growing with the block length (7.6e-15 at most, measured up to L = 4000);
 # each one kept would add up to 4e-13 bits, and hundreds of them add up.  A
 # real mode below the floor carries under 5e-13 bits.
-ETA_FLOOR = 1e-14
+NU_FLOOR = 1e-14
 
 ENUMERATION_LIMIT = 20
 
 
-def binary_entropy(x: float) -> float:
-    """Shannon binary entropy in bits; H(0) = H(1) = 0 by continuity."""
-    if x < -1e-12 or x > 1.0 + 1e-12:
-        raise ParameterError(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(float(x), 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
-
-
-def _binary_entropy_sum(probs: np.ndarray) -> float:
-    p = np.clip(probs, 0.0, 1.0)
-    inner = p[(p > 0.0) & (p < 1.0)]
-    return float(-(inner * np.log2(inner) + (1 - inner) * np.log2(1 - inner)).sum())
-
-
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Operator Schmidt numbers eta_n >= 0, descending, padded to block_len."""
+    """Occupations nu_n of a block's entangled modes, descending.
 
-    etas: np.ndarray
-    block_len: int
+    One entry per site of the block: the modes that cannot be entangled, or
+    whose occupation is rounding noise, are exact zeros at the end.
+    """
+
+    occupations: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,50 +64,47 @@ class EntanglementSpectrum:
 
 
 def schmidt_numbers(c: BlockCoupling) -> SchmidtSpectrum:
-    """Schmidt numbers eta = nu / (1 - nu) from a block's occupations, descending.
+    """The entangled modes' occupations from a block's occupations, descending.
 
     A pure Gaussian state has at most min(L, N - L) modes with occupation
     strictly between 0 and 1, so only the min(L, N - L) largest nu are kept;
-    the others, frozen up to rounding, count as exact zeros.
+    the others, frozen up to rounding, count as exact zeros, and so does any
+    nu below NU_FLOOR.
     """
     nu = c.occupations
     block_len = len(nu)
     keep = min(block_len, c.n_sites - block_len)
-    etas = np.zeros(block_len)
-    etas[:keep] = nu[:keep] / (1.0 - nu[:keep])
-    etas[etas < ETA_FLOOR] = 0.0
-    return SchmidtSpectrum(etas=etas, block_len=block_len)
+    occupations = np.zeros(block_len)
+    occupations[:keep] = nu[:keep]
+    occupations[occupations < NU_FLOOR] = 0.0
+    return SchmidtSpectrum(occupations=occupations)
 
 
 def block_entropy(s: SchmidtSpectrum) -> float:
-    """E = sum_n H(1/(1 + eta_n)) in bits; zero modes contribute exactly 0."""
-    etas = s.etas[s.etas > 0.0]
-    return _binary_entropy_sum(1.0 / (1.0 + etas))
-
-
-def _mode_weights(s: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    x2 = 1.0 / (1.0 + s.etas)
-    y2 = s.etas / (1.0 + s.etas)
-    return x2, y2
+    """E = sum_n H(nu_n) in bits; zero modes contribute exactly 0."""
+    nu = np.clip(s.occupations, 0.0, 1.0)
+    nu = nu[(nu > 0.0) & (nu < 1.0)]
+    return float(-(nu * np.log2(nu) + (1 - nu) * np.log2(1 - nu)).sum())
 
 
 def entanglement_spectrum(s: SchmidtSpectrum, count: int) -> EntanglementSpectrum:
     """The count largest reduced-density eigenvalues, without full enumeration.
 
-    Every eigenvalue is a product over modes of either x_n^2 or y_n^2.  The
-    largest takes the bigger weight from every mode; the rest are reached by
-    flipping modes to their smaller weight.  Flip factors sorted by damage
+    Every eigenvalue is a product over modes of either 1 - nu_n or nu_n.
+    The largest takes the bigger weight from every mode; the rest are reached
+    by flipping modes to their smaller weight.  Flip factors sorted by damage
     let a best-first heap deliver eigenvalues in descending order, visiting
     each subset of flips once.  Eigenvalues that are exactly zero (from modes
-    with eta = 0) are never emitted, so fewer than count values can return.
+    with nu = 0) are never emitted, so fewer than count values can return.
     """
     if count < 1:
         raise ParameterError(f"count must be positive, got {count}")
-    x2, y2 = _mode_weights(s)
-    top = float(np.prod(np.maximum(x2, y2)))
+    nu = s.occupations
+    bigger, smaller = np.maximum(1.0 - nu, nu), np.minimum(1.0 - nu, nu)
+    top = float(np.prod(bigger))
     if top == 0.0:
         return EntanglementSpectrum(lambdas=np.array([]), total_captured=0.0)
-    ratios = np.minimum(x2, y2) / np.maximum(x2, y2)
+    ratios = smaller / bigger
     factors = np.sort(ratios[ratios > 0.0])[::-1]
 
     values = [top]
@@ -144,14 +128,14 @@ def entanglement_spectrum(s: SchmidtSpectrum, count: int) -> EntanglementSpectru
 def enumerate_spectrum(s: SchmidtSpectrum) -> np.ndarray:
     """All 2^L reduced-density eigenvalues, descending, zeros included.
 
-    Exponential in block_len; intended for small-block consistency checks.
+    Exponential in the block length; intended for small-block consistency
+    checks.
     """
-    if s.block_len > ENUMERATION_LIMIT:
+    if len(s.occupations) > ENUMERATION_LIMIT:
         raise SizeError(f"enumeration limited to {ENUMERATION_LIMIT} modes")
-    x2, y2 = _mode_weights(s)
     lam = np.ones(1)
-    for n in range(s.block_len):
-        lam = np.concatenate([lam * x2[n], lam * y2[n]])
+    for nu in s.occupations:
+        lam = np.concatenate([lam * (1.0 - nu), lam * nu])
     return np.sort(lam)[::-1]
 
 

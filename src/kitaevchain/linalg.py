@@ -12,8 +12,7 @@ numpy provides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,35 +21,19 @@ from .exceptions import ConvergenceError, DimensionError, SymmetryError
 HERMITICITY_TOL = 1e-12
 
 
-@dataclass
-class EigenResult:
-    """Eigenvalues in ascending order, plus orthonormal eigenvectors if requested."""
-
-    values: np.ndarray
-    vectors: Optional[np.ndarray] = None
-
-
-def _as_square(m) -> np.ndarray:
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionError(f"expected a nonempty square matrix, got shape {a.shape}")
-    return a
-
-
-def symmetric_eigen(m, want_vectors: bool = False) -> EigenResult:
-    """Eigendecomposition of a Hermitian matrix, for the oracle's dense steps.
+def symmetric_eigen(m) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending, for the oracle's dense steps.
 
     The Hermiticity check is relative to the largest entry so that sector
     Hamiltonians with large couplings are not rejected for roundoff.
     """
-    a = _as_square(m)
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionError(f"expected a nonempty square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.conj().T).max() > HERMITICITY_TOL * scale:
         raise SymmetryError("matrix is not Hermitian within tolerance")
-    if want_vectors:
-        values, vectors = np.linalg.eigh(a)
-        return EigenResult(values=values, vectors=vectors)
-    return EigenResult(values=np.linalg.eigvalsh(a))
+    return np.linalg.eigvalsh(a)
 
 
 class _GrowingBasis:

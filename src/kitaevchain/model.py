@@ -41,20 +41,6 @@ class ChainParams:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Dispersion and the four single-mode eigenvalues at one momentum q.
-
-    lambdas is ordered (--, +-, -+, ++) in the signs (n1, n2) of
-    n1 |eps_q| + n2 sqrt(|eps_q|^2 + h^2), which is ascending order.
-    """
-
-    q: float
-    eps1: float
-    eps2: float
-    lambdas: tuple[float, float, float, float]
-
-
 def momentum_grid(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """All antiperiodic momenta, and the N/4 group labels q in (0, pi/2).
 
@@ -74,19 +60,6 @@ def dispersion(p: ChainParams, q) -> tuple:
     eps1 = 0.5 * (p.j_x + p.j_y) * np.cos(q)
     eps2 = 0.5 * (p.j_y - p.j_x) * np.sin(q)
     return eps1, eps2
-
-
-def mode_eigenvalues(p: ChainParams, q: float) -> ModeSpectrum:
-    """The four eigenvalues of the q-mode block, ascending."""
-    eps1, eps2 = dispersion(p, q)
-    mod = float(np.hypot(eps1, eps2))
-    root = float(np.hypot(mod, p.h_field))
-    return ModeSpectrum(
-        q=float(q),
-        eps1=float(eps1),
-        eps2=float(eps2),
-        lambdas=(-mod - root, mod - root, -mod + root, mod + root),
-    )
 
 
 def ground_energy(p: ChainParams) -> float:

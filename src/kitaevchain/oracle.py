@@ -79,17 +79,14 @@ def apply_hamiltonian(p: ChainParams, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def ed_ground(p: ChainParams, tol: float = 1e-10, seed: int = 0):
+def ed_ground(p: ChainParams, tol: float = 1e-14, seed: int = 0):
     """Ground energy and normalized ground state by Lanczos iteration.
 
     Intended for h != 0 where the ground state is unique; at h = 0 it
     returns one member of the degenerate manifold, determined by the seed.
     """
     dim = 1 << p.n_sites
-    energy, state = linalg.iterative_ground_pair(
-        lambda v: apply_hamiltonian(p, v), dim, tol=tol, seed=seed
-    )
-    return energy, state
+    return linalg.iterative_ground_pair(lambda v: apply_hamiltonian(p, v), dim, tol=tol, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,8 @@ def full_spectrum_degeneracy(p: ChainParams, tol: float = 1e-8) -> DegeneracyCou
     cross = np.abs(h[np.ix_(even, odd)]).max()
     if cross > 1e-12:
         raise SymmetryError(f"Hamiltonian mixes parity sectors by {cross:.3e}")
-    w_even = linalg.symmetric_eigen(h[np.ix_(even, even)]).values
-    w_odd = linalg.symmetric_eigen(h[np.ix_(odd, odd)]).values
+    w_even = linalg.symmetric_eigen(h[np.ix_(even, even)])
+    w_odd = linalg.symmetric_eigen(h[np.ix_(odd, odd)])
     gmin = min(w_even[0], w_odd[0])
     n_even = int(np.count_nonzero(w_even <= gmin + tol))
     n_odd = int(np.count_nonzero(w_odd <= gmin + tol))
@@ -159,7 +156,7 @@ def reduced_density(state: np.ndarray, block_len: int) -> np.ndarray:
 
 def vn_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits, with 0 log 0 taken as 0."""
-    w = linalg.symmetric_eigen(rho).values
+    w = linalg.symmetric_eigen(rho)
     if w[0] < -1e-10:
         raise ValidityError(f"density matrix has eigenvalue {w[0]:.3e}")
     w = w[w > 0.0]

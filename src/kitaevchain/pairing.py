@@ -254,7 +254,7 @@ class BlockCoupling:
     Rotating to the natural fermionic modes of each side removes every
     intra-block term from the exponent and leaves sum_n sqrt(eta_n) A+_n B+_n
     with eta_n = nu_n / (1 - nu_n), one entangled mode pair per nonzero
-    eta_n.  The coupling is diagonal, so it is held by the block's
+    nu_n.  The coupling is diagonal, so it is held by the block's
     occupations nu_n (descending, as from majorana_occupations) and the
     chain length, which bounds how many of them can be entangled.
     """

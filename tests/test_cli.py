@@ -182,14 +182,15 @@ def test_non_finite_parameters_are_usage_errors(command, flag, value, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_scan_saturation_differences_shrink():
-    spec = cli.ScanSpec(
-        axis="block-len",
-        params=ChainParams(1000, 1.0, 1.0, 0.5),
-        start=2, stop=60, step=2, parity="even",
-    )
-    rows = cli.run_scan(spec)
-    vals = [e for _, e in rows]
+def test_scan_saturation_differences_shrink(tmp_path):
+    out = tmp_path / "sat.csv"
+    assert cli.main([
+        "scan", "--axis", "block-len", "--n-sites", "1000", "--h-field", "0.5",
+        "--from", "2", "--to", "60", "--step", "2", "--parity", "even",
+        "--output", str(out),
+    ]) == 0
+    vals = [float(r[1]) for r in read_rows(out)[1:]]
+    assert len(vals) == 30
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     tail = diffs[9:]  # differences from L = 20 on
     assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(tail, tail[1:]))
@@ -205,6 +206,22 @@ def test_scan_rejects_bad_ranges():
         "scan", "--axis", "block-len", "--n-sites", "8", "--h-field", "0.5",
         "--from", "1", "--to", "7", "--step", "-1", "--output", "-",
     ]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--axis", "block-len", "--parity", "even"],
+    ["fit", "--parity", "even"],
+    ["compare"],
+])
+def test_ranges_leaving_no_block_length_are_usage_errors(command, capsys):
+    # 3..3 holds no even length, the default parity of compare and fit: a
+    # CSV with a header and no rows would pass having compared nothing.
+    argv = command + ["--n-sites", "8", "--h-field", "0.5", "--from", "3", "--to", "3",
+                      "--step", "1", "--output", "-"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no even block length from 3.0 to 3.0")
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -5,8 +5,8 @@ import pytest
 
 from kitaevchain import oracle
 from kitaevchain.entropy import (
+    NU_FLOOR,
     SchmidtSpectrum,
-    binary_entropy,
     block_entropy,
     block_entropy_curve,
     block_spectra,
@@ -19,67 +19,50 @@ from kitaevchain.model import ChainParams
 from kitaevchain.pairing import BlockCoupling, block_coupling, real_space_gamma
 
 
-def spectrum_of(etas) -> SchmidtSpectrum:
-    e = np.asarray(etas, dtype=float)
-    return SchmidtSpectrum(etas=np.sort(e)[::-1], block_len=len(e))
-
-
-def test_binary_entropy_values():
-    assert binary_entropy(0.5) == 1.0
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert abs(binary_entropy(0.25) - (2 - 0.75 * np.log2(3))) < 1e-14
-
-
-def test_binary_entropy_symmetric():
-    rng = np.random.default_rng(8)
-    for x in rng.uniform(0, 1, size=1000):
-        assert abs(binary_entropy(x) - binary_entropy(1 - x)) < 1e-15
-
-
-def test_binary_entropy_clamps_roundoff_but_rejects_garbage():
-    assert binary_entropy(-1e-13) == 0.0
-    assert binary_entropy(1 + 1e-13) == 0.0
-    with pytest.raises(ParameterError):
-        binary_entropy(-0.001)
-    with pytest.raises(ParameterError):
-        binary_entropy(1.001)
+def spectrum_of(occupations) -> SchmidtSpectrum:
+    nu = np.asarray(occupations, dtype=float)
+    return SchmidtSpectrum(occupations=np.sort(nu)[::-1])
 
 
 def test_block_entropy_bell_pair():
-    assert abs(block_entropy(spectrum_of([1.0])) - 1.0) < 1e-15
+    assert block_entropy(spectrum_of([0.5])) == 1.0
+    assert abs(block_entropy(spectrum_of([0.25])) - (2 - 0.75 * np.log2(3))) < 1e-14
 
 
 def test_block_entropy_product_state():
     assert block_entropy(spectrum_of([0.0, 0.0, 0.0])) == 0.0
+    assert block_entropy(spectrum_of([1.0])) == 0.0
 
 
 def test_block_entropy_two_bell_pairs():
-    assert abs(block_entropy(spectrum_of([1.0, 1.0])) - 2.0) < 1e-15
+    assert abs(block_entropy(spectrum_of([0.5, 0.5])) - 2.0) < 1e-15
 
 
 def test_block_entropy_bounds():
     rng = np.random.default_rng(9)
     for _ in range(50):
         length = int(rng.integers(1, 9))
-        etas = rng.uniform(0, 50, size=length)
-        e = block_entropy(spectrum_of(etas))
+        nu = rng.uniform(0, 1, size=length)
+        e = block_entropy(spectrum_of(nu))
         assert 0.0 <= e <= length
+        # H(nu) = H(1 - nu): a mode's two weights enter symmetrically.
+        assert abs(block_entropy(spectrum_of(1.0 - nu)) - e) < 1e-15 * length
 
 
 def test_spectrum_single_bell_mode():
-    r = entanglement_spectrum(spectrum_of([1.0]), 2)
+    r = entanglement_spectrum(spectrum_of([0.5]), 2)
     assert np.allclose(r.lambdas, [0.5, 0.5])
     assert abs(r.total_captured - 1.0) < 1e-14
 
 
 def test_spectrum_skewed_mode():
-    r = entanglement_spectrum(spectrum_of([3.0]), 2)
+    r = entanglement_spectrum(spectrum_of([0.25]), 2)
     assert np.allclose(r.lambdas, [0.75, 0.25])
+    assert np.array_equal(entanglement_spectrum(spectrum_of([0.75]), 2).lambdas, r.lambdas)
 
 
 def test_spectrum_three_bell_modes():
-    r = entanglement_spectrum(spectrum_of([1.0, 1.0, 1.0]), 8)
+    r = entanglement_spectrum(spectrum_of([0.5, 0.5, 0.5]), 8)
     assert len(r.lambdas) == 8
     assert np.allclose(r.lambdas, 0.125)
     assert abs(r.total_captured - 1.0) < 1e-12
@@ -87,11 +70,11 @@ def test_spectrum_three_bell_modes():
 
 def test_spectrum_count_validated():
     with pytest.raises(ParameterError):
-        entanglement_spectrum(spectrum_of([1.0]), 0)
+        entanglement_spectrum(spectrum_of([0.5]), 0)
 
 
 def test_spectrum_monotone_prefix():
-    s = spectrum_of([4.0, 1.7, 0.3, 0.02])
+    s = spectrum_of([0.8, 0.63, 0.23, 0.02])
     prev = entanglement_spectrum(s, 1).lambdas
     for count in range(2, 17):
         cur = entanglement_spectrum(s, count).lambdas
@@ -103,14 +86,14 @@ def test_spectrum_omits_exact_zeros():
     # A frozen mode contributes weight 1 on one branch and 0 on the other;
     # the zero branch is never emitted, so fewer values than requested come
     # back and they all lie in (0, 1].
-    r = entanglement_spectrum(spectrum_of([1.0, 0.0]), 8)
+    r = entanglement_spectrum(spectrum_of([0.5, 0.0]), 8)
     assert len(r.lambdas) == 2
     assert np.allclose(r.lambdas, [0.5, 0.5])
     assert r.lambdas.min() > 0.0
 
 
 def test_spectrum_descending_and_bounded():
-    s = spectrum_of([5.0, 2.0, 0.5, 0.1])
+    s = spectrum_of([0.83, 0.67, 0.33, 0.09])
     r = entanglement_spectrum(s, 12)
     assert np.all(np.diff(r.lambdas) <= 1e-15)
     assert r.lambdas.max() <= 1.0
@@ -118,18 +101,18 @@ def test_spectrum_descending_and_bounded():
 
 
 def test_spectrum_non_increasing_with_degenerate_modes():
-    # Equal Schmidt numbers give equal flip factors; the best-first search
-    # must still emit a non-increasing sequence, not one lifted by rounding.
-    etas = np.repeat([2.1916697848255327, 0.5352103056016515, 0.11042087016333842], 2)
-    lam = entanglement_spectrum(spectrum_of(etas), 64).lambdas
+    # Equal occupations give equal flip factors; the best-first search must
+    # still emit a non-increasing sequence, not one lifted by rounding.
+    nu = np.repeat([0.439, 0.127, 0.039], 2)
+    lam = entanglement_spectrum(spectrum_of(nu), 64).lambdas
     assert len(lam) == 64
     assert np.all(np.diff(lam) <= 0.0)
-    full = enumerate_spectrum(spectrum_of(etas))
+    full = enumerate_spectrum(spectrum_of(nu))
     assert np.abs(lam - full[:64]).max() < 1e-15
 
 
 def test_enumeration_matches_best_first_search():
-    s = spectrum_of([2.4, 0.9, 0.13, 0.01])
+    s = spectrum_of([0.71, 0.47, 0.12, 0.01])
     full = enumerate_spectrum(s)
     top = entanglement_spectrum(s, 16).lambdas
     assert np.abs(np.sort(full)[::-1] - top).max() < 1e-14
@@ -138,14 +121,14 @@ def test_enumeration_matches_best_first_search():
 
 def test_enumeration_size_gate():
     with pytest.raises(SizeError):
-        enumerate_spectrum(spectrum_of(np.ones(21)))
+        enumerate_spectrum(spectrum_of(np.full(21, 0.5)))
 
 
 def test_enumerated_weights_reproduce_entropy():
     rng = np.random.default_rng(10)
     for _ in range(5):
         length = int(rng.integers(1, 11))
-        s = spectrum_of(rng.uniform(0, 8, size=length))
+        s = spectrum_of(rng.uniform(0, 0.9, size=length))
         lam = enumerate_spectrum(s)
         assert abs(lam.sum() - 1.0) < 1e-10
         nz = lam[lam > 0]
@@ -191,11 +174,14 @@ def test_curve_preserves_request_order():
 
 def test_occupation_spectrum_odds_and_frozen_modes():
     s = schmidt_numbers(BlockCoupling(np.array([0.5, 0.25, 1e-30]), 8))
-    assert s.block_len == 3
-    assert np.allclose(s.etas, [1.0, 1.0 / 3.0, 0.0])
+    assert np.array_equal(s.occupations, [0.5, 0.25, 0.0])
+    # Occupations below the floor are rounding noise and count as zeros.
+    nu = np.array([0.5, NU_FLOOR, 0.99 * NU_FLOOR])
+    s = schmidt_numbers(BlockCoupling(nu, 8))
+    assert np.array_equal(s.occupations, [0.5, NU_FLOOR, 0.0])
     # Past half the chain only min(L, N - L) modes can be entangled.
     s = schmidt_numbers(BlockCoupling(np.array([0.5, 0.25, 0.1]), 4))
-    assert np.allclose(s.etas, [1.0, 0.0, 0.0])
+    assert np.array_equal(s.occupations, [0.5, 0.0, 0.0])
 
 
 def test_block_spectra_match_reference_route():
@@ -203,8 +189,22 @@ def test_block_spectra_match_reference_route():
     g = real_space_gamma(p)
     for length, s in block_spectra(p, [8, 3, 13]):
         ref = schmidt_numbers(block_coupling(g, length))
-        assert s.block_len == length
-        assert np.abs(s.etas - ref.etas).max() < 1e-12
+        assert len(s.occupations) == length
+        assert np.abs(s.occupations - ref.occupations).max() < 1e-12
+
+
+@pytest.mark.parametrize("j_y,h", [(1.0, 0.0), (0.8, 0.3), (1.3, -5.0)])
+def test_block_entropy_matches_high_precision_sum(j_y, h):
+    # The bits step adds only the rounding of sum_n H(nu_n) over the
+    # occupations it is given: compare with the same sum at 40 digits.
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for length, s in block_spectra(ChainParams(1000, 1.0, j_y, h), [10, 50, 125, 250, 500]):
+        with mpmath.workdps(40):
+            nus = [mpmath.mpf(float(nu)) for nu in s.occupations if nu > 0.0]
+            exact = -sum(nu * mpmath.log(nu, 2) + (1 - nu) * mpmath.log(1 - nu, 2) for nu in nus)
+            worst = max(worst, float(abs(block_entropy(s) - exact)))
+    assert worst <= 2e-15
 
 
 def test_block_spectra_validate_every_length():

@@ -7,7 +7,6 @@ from kitaevchain.model import (
     dispersion,
     ground_degeneracy,
     ground_energy,
-    mode_eigenvalues,
     momentum_grid,
 )
 
@@ -62,32 +61,6 @@ def test_dispersion_unequal_couplings():
     eps1, eps2 = dispersion(ChainParams(8, 1.0, 0.8, 0.0), np.pi / 2)
     assert abs(eps1) < 1e-15
     assert abs(eps2 + 0.1) < 1e-15
-
-
-def test_mode_eigenvalues_zero_field():
-    # |eps| = 1 at q = 0 with J_x = J_y = 1
-    s = mode_eigenvalues(ChainParams(4, 1.0, 1.0, 0.0), 0.0)
-    assert np.allclose(s.lambdas, [-2.0, 0.0, 0.0, 2.0])
-
-
-def test_mode_eigenvalues_field_only():
-    s = mode_eigenvalues(ChainParams(4, 0.0, 0.0, 1.0), 0.7)
-    assert np.allclose(s.lambdas, [-1.0, -1.0, 1.0, 1.0])
-
-
-def test_mode_eigenvalues_three_four_five():
-    s = mode_eigenvalues(ChainParams(4, 0.75, 0.75, 1.0), 0.0)
-    assert np.allclose(s.lambdas, [-2.0, -0.5, 0.5, 2.0])
-
-
-def test_mode_eigenvalues_sum_zero_and_pair():
-    p = ChainParams(12, 1.0, 0.8, 0.6)
-    _, mode_q = momentum_grid(p.n_sites)
-    for q in mode_q:
-        lam = np.asarray(mode_eigenvalues(p, q).lambdas)
-        assert abs(lam.sum()) < 1e-12
-        assert abs(lam[0] + lam[3]) < 1e-12
-        assert abs(lam[1] + lam[2]) < 1e-12
 
 
 def test_ground_energy_small_chain_closed_forms():

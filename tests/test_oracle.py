@@ -213,6 +213,14 @@ def test_compare_entropies_unequal_couplings():
     assert rpt.max_abs_diff < 1e-8
 
 
+@pytest.mark.parametrize("j_y,h", [(0.8, 0.5), (1.0, 0.3), (1.3, -0.7), (1.0, 5.0)])
+def test_compare_entropies_measure_the_pipeline(j_y, h):
+    # The default Lanczos tolerance must sit below the pipeline's own error,
+    # or the comparison reports the stopping rule instead of the pipeline.
+    rpt = oracle.compare_entropies(ChainParams(12, 1.0, j_y, h), range(1, 12))
+    assert rpt.max_abs_diff < 1e-12
+
+
 def test_compare_entropies_product_limit():
     rpt = oracle.compare_entropies(ChainParams(8, 0.0, 0.0, 1.0), [1, 2, 4])
     for _, fast, slow, _ in rpt.rows:

@@ -119,7 +119,7 @@ def test_coupling_zero_gamma():
     assert c.n_sites == 8
     assert c.occupations.shape == (3,)
     assert np.abs(c.occupations).max() < 1e-14
-    assert np.array_equal(schmidt_numbers(c).etas, np.zeros(3))
+    assert np.array_equal(schmidt_numbers(c).occupations, np.zeros(3))
 
 
 def test_coupling_shapes_and_finiteness():
@@ -131,7 +131,7 @@ def test_coupling_shapes_and_finiteness():
         assert np.all(np.isfinite(c.occupations))
         assert np.all((c.occupations >= 0.0) & (c.occupations <= 0.5))
         # A cut leaves at most min(L, N - L) entangled mode pairs.
-        assert np.count_nonzero(schmidt_numbers(c).etas) <= min(length, 8 - length)
+        assert np.count_nonzero(schmidt_numbers(c).occupations) <= min(length, 8 - length)
 
 
 def test_coupling_block_length_validated():
