@@ -11,7 +11,7 @@ uncoupled four-momentum groups labelled by q in (0, pi/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +55,22 @@ def momentum_grid(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     return all_k, mode_q
 
 
+def unit_scaled(p: ChainParams) -> tuple[ChainParams, int]:
+    """p with couplings and field scaled by 2^-e so the largest lies in [1, 2), and e.
+
+    Every ground-state amplitude depends only on the ratios J_x : J_y : h,
+    and the energy scales with them, so the sums and squares that follow
+    can run on the scaled values without overflow or underflow.  A power of
+    two is exact: couplings already of order one are left untouched (e = 0),
+    and any other scale changes no ratio.
+    """
+    e = math.frexp(max(abs(p.j_x), abs(p.j_y), abs(p.h_field)))[1] - 1
+    if e == 0:
+        return p, 0
+    scaled = {name: math.ldexp(getattr(p, name), -e) for name in ("j_x", "j_y", "h_field")}
+    return replace(p, **scaled), e
+
+
 def dispersion(p: ChainParams, q) -> tuple:
     """Real and imaginary dispersion parts: 2 eps_q = J_x e^{-iq} + J_y e^{iq}."""
     eps1 = 0.5 * (p.j_x + p.j_y) * np.cos(q)
@@ -65,11 +81,17 @@ def dispersion(p: ChainParams, q) -> tuple:
 def ground_energy(p: ChainParams) -> float:
     """Ground-state energy: every mode contributes -4 sqrt(|eps_q|^2 + h^2).
 
-    Even in h, and invariant under swapping J_x with J_y.
+    Even in h, and invariant under swapping J_x with J_y.  Raises
+    ParameterError if the energy overflows a float.
     """
     _, qs = momentum_grid(p.n_sites)
-    eps1, eps2 = dispersion(p, qs)
-    return float(-4.0 * np.sum(np.sqrt(eps1**2 + eps2**2 + p.h_field**2)))
+    unit, e = unit_scaled(p)
+    eps1, eps2 = dispersion(unit, qs)
+    energy = float(-4.0 * np.sum(np.sqrt(eps1**2 + eps2**2 + unit.h_field**2)))
+    try:
+        return math.ldexp(energy, e)
+    except OverflowError:
+        raise ParameterError(f"ground energy overflows a float at {p}") from None
 
 
 def ground_degeneracy(n_sites: int) -> int:

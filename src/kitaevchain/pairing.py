@@ -18,8 +18,12 @@ eigensolve per block:
   costs O(N log N + L^3) time and O(N + L^2) memory, and feeds the entropy
   pipeline;
 - the paper's construction (real_space_gamma, pair_correlations,
-  block_occupations) builds the N x N site-pair matrix gamma and takes C and
-  F from one inverse of 1 + gamma - gamma^T.  It is the independent reference.
+  block_occupations) builds the N x N site-pair matrix gamma from two
+  Toeplitz layouts of the beta tables.  Z = gamma - gamma^T couples the two
+  sublattices through one Hankel, hence symmetric, N/2 x N/2 block S, and
+  C and F follow from one symmetric eigensolve of S.  It costs O(N^2)
+  memory and one (N/2)^3 eigensolve, uses no FFT after the beta tables, and
+  is the independent reference.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ParameterError, SingularModeError
-from .model import ChainParams, dispersion, momentum_grid
+from .model import ChainParams, dispersion, momentum_grid, unit_scaled
 
 
 def pair_amplitudes(p: ChainParams, q):
@@ -39,20 +43,23 @@ def pair_amplitudes(p: ChainParams, q):
     a_n = eps_n / (h + sqrt(|eps_q|^2 + h^2)).  For h <= 0 the denominator
     is evaluated as |eps_q|^2 / (sqrt(|eps_q|^2 + h^2) - h), which is the
     same number without the cancellation; it vanishes only when h <= 0 and
-    |eps_q| = 0 together, which is a singular mode.
+    |eps_q| = 0 together, which is a singular mode.  The amplitudes depend
+    only on the ratios J_x : J_y : h, so they are evaluated on the
+    unit_scaled couplings, whose squares neither overflow nor underflow.
     """
-    eps1, eps2 = dispersion(p, q)
+    unit, _ = unit_scaled(p)
+    eps1, eps2 = dispersion(unit, q)
     r2 = eps1 * eps1 + eps2 * eps2
-    root = np.sqrt(r2 + p.h_field * p.h_field)
-    if p.h_field > 0.0:
-        den = p.h_field + root
+    root = np.sqrt(r2 + unit.h_field * unit.h_field)
+    if unit.h_field > 0.0:
+        den = unit.h_field + root
     else:
         if np.any(r2 == 0.0):
             bad = np.asarray(q)[np.asarray(r2) == 0.0] if np.ndim(q) else q
             raise SingularModeError(
                 f"amplitude denominator vanishes at q = {bad} for h = {p.h_field}"
             )
-        den = r2 / (root - p.h_field)
+        den = r2 / (root - unit.h_field)
     return eps1 / den, eps2 / den
 
 
@@ -110,15 +117,23 @@ def real_space_gamma(p: ChainParams) -> PairingMatrix:
     makes it real-valued for every parameter choice.  Both parity prefactors
     vanish when l and m have equal parity, so gamma couples only odd sites
     to even sites and its diagonal is exactly zero.
+
+    For odd l and even m both prefactors are -2; for even l and odd m they
+    are +2 and -2.  So each parity of l reads one row, -2 (Re beta_1 +
+    Im beta_2) or 2 (Re beta_1 - Im beta_2), as a Toeplitz matrix in l - m:
+    a reversed sliding window over the row's 2N - 1 separations.  Only its
+    opposite-parity entries are written, into an N x N array of zeros.
     """
+    n = p.n_sites
     b1, b2 = _beta_tables(p)
-    sites = np.arange(1, p.n_sites + 1)
-    alt = (-1.0) ** sites
-    p1 = alt[:, None] - alt[None, :]
-    p2 = alt[:, None] * alt[None, :] - 1.0
-    xi = (sites[:, None] - sites[None, :]) + p.n_sites - 1
-    gamma = p1 * b1.real[xi] + p2 * b2.imag[xi]
-    return PairingMatrix(n_sites=p.n_sites, gamma=gamma)
+    # Window k, reversed, is row k of the Toeplitz matrix: entry j holds
+    # separation k - j.  0-based even rows are the odd sites l above.
+    from_even = sliding_window_view(-2.0 * (b1.real + b2.imag), n)
+    from_odd = sliding_window_view(2.0 * (b1.real - b2.imag), n)
+    gamma = np.zeros((n, n))
+    gamma[0::2, 1::2] = from_even[0::2, -2::-2]
+    gamma[1::2, 0::2] = from_odd[1::2, ::-2]
+    return PairingMatrix(n_sites=n, gamma=gamma)
 
 
 def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -129,18 +144,63 @@ def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
     one inverse W = (1 + Z)^{-1}.  As Z^T = -Z, 1 + Z^T Z = 1 + Z Z^T =
     (1 - Z)(1 + Z) commutes with Z and W^T = (1 - Z)^{-1}, so (W + W^T)/2 =
     (1 + Z^T Z)^{-1} = 1 - C and (W - W^T)/2 = F: G = 1 - 2C + 2F = 2W - 1,
-    the Cayley form of a pure Gaussian state.  Every singular value of 1 + Z
-    is at least 1, so this is better conditioned than the Gram form; C and F
-    are exactly symmetric and antisymmetric by construction.
+    the Cayley form of a pure Gaussian state.
+
+    W is never formed.  Z couples the even sites (0-based) only to the odd
+    ones, through the n x n block Y = gamma_eo - gamma_oe^T, n = N/2.  Y is
+    Toeplitz in the cell separation, so with R reversing the odd sites
+    S = Y R is Hankel and exactly symmetric.  In the basis (even sites, odd
+    sites reversed) 1 + Z = [[1, S], [-S, 1]], the real form of 1 - iS, and
+    W = [[P, -SP], [SP, P]] with P = (1 + S^2)^{-1}.  One eigensolve
+    S = V diag(lambda) V^T gives P and SP as V diag(w) V^T with the weights
+    1 / (1 + lambda^2) and lambda / (1 + lambda^2), bounded by 1 and 1/2;
+    no Gram product enters, so nothing squares the conditioning of S.  Then
+    C_ee = 1 - P, C_oo = R (1 - P) R, F_eo = -SP R and F_oe = R SP.  P and
+    SP are symmetrized once, which makes C exactly symmetric and F exactly
+    antisymmetric.  The cost is one n x n symmetric eigensolve and two n^3
+    products, in O(N^2) memory.
     """
     if g._correlations is not None:
         return g._correlations
-    if np.iscomplexobj(g.gamma):
-        raise ParameterError(f"pairing matrix must be real, got dtype {g.gamma.dtype}")
-    eye = np.eye(g.n_sites)
-    w = np.linalg.inv(eye + g.gamma - g.gamma.T)
-    g._correlations = (eye - 0.5 * (w + w.T), 0.5 * (w - w.T))
+    gamma = g.gamma
+    if np.iscomplexobj(gamma):
+        raise ParameterError(f"pairing matrix must be real, got dtype {gamma.dtype}")
+    p, sp = _cayley_blocks(gamma)
+    n = len(p)
+    c, f = np.zeros_like(gamma), np.zeros_like(gamma)
+    c_ee = c[0::2, 0::2]
+    c_ee -= p
+    c_ee[np.diag_indices(n)] += 1.0
+    c[1::2, 1::2] = c_ee[::-1, ::-1]
+    f[0::2, 1::2] = -sp[:, ::-1]
+    f[1::2, 0::2] = sp[::-1]
+    g._correlations = (c, f)
     return g._correlations
+
+
+def _cayley_blocks(gamma: np.ndarray) -> list[np.ndarray]:
+    """P = (1 + S^2)^{-1} and S P for the Hankel block S of gamma - gamma^T.
+
+    Checks the two facts pair_correlations rests on: gamma's same-sublattice
+    blocks are symmetric, so they drop out of Z, and S is exactly symmetric.
+    Both results are symmetrized, each once.
+    """
+    for sub in (0, 1):
+        if not np.array_equal(gamma[sub::2, sub::2], gamma[sub::2, sub::2].T):
+            raise ParameterError("pairing matrix must couple even sites only to odd sites")
+    hankel = gamma[0::2, -1::-2] - gamma[-1::-2, 0::2].T
+    if not np.array_equal(hankel, hankel.T):
+        raise ParameterError("the even-odd block of gamma - gamma^T, odd sites reversed, "
+                             "must be symmetric")
+    lam, v = np.linalg.eigh(hankel)
+    weight = 1.0 / (1.0 + lam * lam)
+    blocks = []
+    for w in (weight, lam * weight):
+        block = (v * w) @ v.T
+        block += block.T
+        block *= 0.5
+        blocks.append(block)
+    return blocks
 
 
 def _check_block_len(n_sites: int, block_len: int) -> None:
@@ -180,8 +240,8 @@ def majorana_occupations(block: np.ndarray) -> np.ndarray:
 def block_occupations(g: PairingMatrix, block_len: int) -> np.ndarray:
     """Natural-mode occupations of the first block_len sites, descending.
 
-    The reference route: C and F come from gamma through the one N x N
-    inverse of pair_correlations, and the block of G = 1 - 2C + 2F, its
+    The reference route: C and F come from gamma through the one N/2 x N/2
+    eigensolve of pair_correlations, and the block of G = 1 - 2C + 2F, its
     columns signed by sublattice, goes through majorana_occupations.
     """
     _check_block_len(g.n_sites, block_len)

@@ -182,6 +182,31 @@ def test_non_finite_parameters_are_usage_errors(command, flag, value, capsys):
     assert "Traceback" not in captured.err
 
 
+def _entropy_at(scale, capsys, **couplings):
+    argv = ["entropy", "--n-sites", "8", "--block-size", "4", "--output", "-"]
+    for flag, value in couplings.items():
+        argv += [f"--{flag.replace('_', '-')}", repr(value * scale)]
+    assert cli.main(argv) == 0
+    return float(capsys.readouterr().out.splitlines()[1].split(",")[-1])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e300])
+def test_entropy_depends_only_on_coupling_ratios(scale, capsys):
+    # Squaring couplings this large or small overflows or underflows; the
+    # amplitudes are computed on couplings rescaled by a power of two.
+    unit = _entropy_at(1.0, capsys, jx=1.0, jy=1.0, h_field=1.0)
+    assert abs(_entropy_at(scale, capsys, jx=1.0, jy=1.0, h_field=1.0) - unit) <= 1e-12
+
+
+def test_largest_finite_couplings(capsys):
+    # jx + jy = 2e308 overflows unless rescaled first.
+    assert _entropy_at(1e308, capsys, jx=1.0, jy=1.0) == _entropy_at(1.0, capsys, jx=1.0, jy=1.0)
+    assert cli.main(["energy", "--n-sites", "8", "--jx", "1e308", "--jy", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ground energy overflows")
+
+
 def test_scan_saturation_differences_shrink(tmp_path):
     out = tmp_path / "sat.csv"
     assert cli.main([

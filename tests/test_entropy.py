@@ -252,3 +252,24 @@ def test_long_chain_block_in_seconds():
     small = block_entropy_curve(ChainParams(1000, 1.0, 1.0, 0.5), [500])[0][1]
     assert abs(big - small) <= 1e-9
     assert elapsed < 10.0
+
+
+def test_critical_chain_follows_the_chord_law():
+    # At the gapless point J_x = J_y, h = 0 the ring is a c = 1 conformal
+    # theory, and a block of L sites out of N obeys the Calabrese-Cardy law
+    # S = (c/3) log2[(N/pi) sin(pi L/N)] + s0 with a non-universal s0 that
+    # does not depend on N.  The chord length reaches back to L = N/2, far
+    # beyond the oracle's 14 sites.
+    fits = []
+    for n, lens in ((1000, range(16, 501, 16)), (2000, range(16, 1001, 32))):
+        curve = block_entropy_curve(ChainParams(n, 1.0, 1.0, 0.0), lens)
+        chord = np.log2(n / np.pi * np.sin(np.pi * np.array(lens) / n)) / 3.0
+        s = np.array([entropy for _, entropy in curve])
+        design = np.stack([chord, np.ones_like(chord)], axis=1)
+        (c, s0), *_ = np.linalg.lstsq(design, s, rcond=None)
+        residual = s - design @ (c, s0)
+        fits.append((c, s0, residual.max() - residual.min()))
+    for c, _, spread in fits:
+        assert abs(c - 1.0) < 1e-3, fits
+        assert spread < 2e-4, fits
+    assert abs(fits[0][1] - fits[1][1]) < 1e-4, fits

@@ -103,6 +103,20 @@ def test_dispersion_modulus_closed_form():
         assert abs(lhs - rhs) < 1e-12
 
 
+def test_ground_energy_scales_with_couplings():
+    # A power-of-two scale is exact all the way through; others are rounded
+    # once on input.
+    p = ChainParams(16, 1.0, 0.8, 0.5)
+    e = ground_energy(p)
+    assert ground_energy(ChainParams(16, 2.0**-900, 0.8 * 2.0**-900, 0.5 * 2.0**-900)) \
+        == e * 2.0**-900
+    for scale in (1e-300, 1e-160, 1e150, 1e300):
+        scaled = ground_energy(ChainParams(16, scale, 0.8 * scale, 0.5 * scale))
+        assert abs(scaled / scale - e) <= 1e-14 * abs(e), scale
+    with pytest.raises(ParameterError, match="overflows"):
+        ground_energy(ChainParams(16, 1e308, 1e308))
+
+
 def test_ground_degeneracy_closed_form():
     assert ground_degeneracy(4) == 2
     assert ground_degeneracy(8) == 8

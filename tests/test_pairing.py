@@ -217,20 +217,22 @@ def test_gamma_is_real_and_antisymmetric():
 CROSS_ROUTE_POINTS = [(0.8, -0.7), (0.8, 0.0), (0.8, 0.3), (0.8, 5.0), (1.0, -5.0)]
 
 
-@pytest.mark.parametrize("n", [16, 200, 1000])
+@pytest.mark.parametrize("n", [16, 200, 1000, 2000])
 def test_momentum_block_matches_real_space_correlations(n):
     # Two independent routes to G = 1 - 2C + 2F: 2 x 2 momentum symbols
-    # against the N x N inverse on the paper's gamma.  At J_y = 1, h = -5
-    # the matrix 1 + Z^T Z is ill-conditioned: solving with it instead of
-    # inverting 1 + Z lands ~1e-12 off at N = 1000.  Both sides carry the
-    # sublattice signs D = diag((-1)^j) on their columns; D G D = G^T makes
-    # each signed block symmetric, and the eigensolve reads only its lower
-    # triangle.
-    for j_y, h in CROSS_ROUTE_POINTS:
+    # against one eigensolve of the N/2 x N/2 Hankel block S of Z on the
+    # paper's gamma.  At J_y = 1, h = -5 the matrix 1 + S^2 is ill-conditioned:
+    # solving with it (or with the Schur complement 1 + Y^T Y) instead of
+    # weighting the eigenvalues of S lands ~1e-12 off at N = 1000; N = 2000
+    # runs that point alone.  Both sides carry the sublattice signs
+    # D = diag((-1)^j) on their columns; D G D = G^T makes each signed block
+    # symmetric, exactly so on the reference route, and the eigensolve reads
+    # only its lower triangle.
+    for j_y, h in CROSS_ROUTE_POINTS if n <= 1000 else [(1.0, -5.0)]:
         p = ChainParams(n, 1.0, j_y, h)
         c, f = pair_correlations(real_space_gamma(p))
         reference = (np.eye(n) - 2.0 * c + 2.0 * f) * (-1.0) ** np.arange(n)
-        assert np.abs(reference - reference.T).max() <= 1e-15, (j_y, h)
+        assert np.array_equal(reference, reference.T), (j_y, h)
         table = majorana_table(p)
         assert table.shape == (2, 2, n // 2)
         for length in (1, 2, n // 2, n - 1):
@@ -286,6 +288,52 @@ def test_reference_correlations_describe_a_pure_state(j_y, h):
     c, f = pair_correlations(real_space_gamma(ChainParams(n, 1.0, j_y, h)))
     g = np.eye(n) - 2.0 * c + 2.0 * f
     assert np.abs(g @ g.T - np.eye(n)).max() <= 1e-12
+
+
+def _index_array_gamma(p):
+    # The literal formula of real_space_gamma's docstring, on 1-based sites,
+    # through an N x N index array into the beta tables.
+    from kitaevchain.pairing import _beta_tables
+
+    b1, b2 = _beta_tables(p)
+    sites = np.arange(1, p.n_sites + 1)
+    alt = (-1.0) ** sites
+    p1 = alt[:, None] - alt[None, :]
+    p2 = alt[:, None] * alt[None, :] - 1.0
+    xi = (sites[:, None] - sites[None, :]) + p.n_sites - 1
+    return p1 * b1.real[xi] + p2 * b2.imag[xi]
+
+
+@pytest.mark.parametrize("n", [8, 200])
+def test_gamma_matches_index_array_formula(n):
+    for j_y, h in CROSS_ROUTE_POINTS + [(1.3, -0.7), (1.0, 0.0)]:
+        p = ChainParams(n, 1.0, j_y, h)
+        assert np.array_equal(real_space_gamma(p).gamma, _index_array_gamma(p)), (j_y, h)
+
+
+@pytest.mark.parametrize("j_y,h", CROSS_ROUTE_POINTS)
+def test_correlations_match_inverse_of_one_plus_z(j_y, h):
+    # The Cayley form: W = (1 + Z)^{-1}, C = 1 - (W + W^T)/2, F = (W - W^T)/2.
+    n = 200
+    g = real_space_gamma(ChainParams(n, 1.0, j_y, h))
+    w = np.linalg.inv(np.eye(n) + g.gamma - g.gamma.T)
+    c, f = pair_correlations(g)
+    assert np.abs(c - (np.eye(n) - 0.5 * (w + w.T))).max() <= 1e-13
+    assert np.abs(f - 0.5 * (w - w.T)).max() <= 1e-13
+
+
+def test_gamma_off_the_sublattice_form_rejected():
+    gamma = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5)).gamma
+    same = gamma.copy()
+    same[0, 2] = 0.1
+    with pytest.raises(ParameterError, match="only to odd"):
+        pair_correlations(PairingMatrix(n_sites=12, gamma=same))
+    # Still bipartite, but no longer Toeplitz in the cell separation, so
+    # the block S of Z is not symmetric.
+    skewed = gamma.copy()
+    skewed[0, 1] += 1e-3
+    with pytest.raises(ParameterError, match="must be symmetric"):
+        pair_correlations(PairingMatrix(n_sites=12, gamma=skewed))
 
 
 def test_complex_gamma_rejected():
