@@ -81,10 +81,14 @@ def schmidt_numbers(c: BlockCoupling) -> SchmidtSpectrum:
 
 
 def block_entropy(s: SchmidtSpectrum) -> float:
-    """E = sum_n H(nu_n) in bits; zero modes contribute exactly 0."""
+    """E = sum_n H(nu_n) in bits; zero modes contribute exactly 0.
+
+    Each term is negated before the sum, so a block with no entangled mode
+    sums nothing to +0.0 rather than negating an empty sum to -0.0.
+    """
     nu = np.clip(s.occupations, 0.0, 1.0)
     nu = nu[(nu > 0.0) & (nu < 1.0)]
-    return float(-(nu * np.log2(nu) + (1 - nu) * np.log2(1 - nu)).sum())
+    return float((-nu * np.log2(nu) - (1 - nu) * np.log2(1 - nu)).sum())
 
 
 def entanglement_spectrum(s: SchmidtSpectrum, count: int) -> EntanglementSpectrum:

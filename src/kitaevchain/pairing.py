@@ -17,13 +17,15 @@ eigensolve per block:
   and transforms them back into one table of G per cell separation.  It
   costs O(N log N + L^3) time and O(N + L^2) memory, and feeds the entropy
   pipeline;
-- the paper's construction (real_space_gamma, pair_correlations,
-  block_occupations) builds the N x N site-pair matrix gamma from two
+- the paper's construction (real_space_gamma, block_occupations,
+  pair_correlations) builds the N x N site-pair matrix gamma from two
   Toeplitz layouts of the beta tables.  Z = gamma - gamma^T couples the two
-  sublattices through one Hankel, hence symmetric, N/2 x N/2 block S, and
-  C and F follow from one symmetric eigensolve of S.  It costs O(N^2)
-  memory and one (N/2)^3 eigensolve, uses no FFT after the beta tables, and
-  is the independent reference.
+  sublattices through one Hankel, hence symmetric, N/2 x N/2 block S.  One
+  symmetric eigensolve of S, cached on the gamma, gives every block of G D
+  as Gram products of the block's rows of the eigenvectors; the full C and
+  F are the split of the block at L = N.  Gamma is its only N x N array;
+  it costs one (N/2)^3 eigensolve plus O(N L^2) per block, uses no FFT
+  after the beta tables, and is the independent reference.
 """
 
 from __future__ import annotations
@@ -79,13 +81,15 @@ class PairingMatrix:
 
     Indices are 1-based in formulas and documentation; storage is 0-based.
     Only the antisymmetric part gamma - gamma^T enters any physical result.
-    Ground-state correlation matrices derived from gamma are cached on the
-    instance because every block size reuses them.
+    The eigenpairs of its Hankel block and the correlation matrices derived
+    from gamma are cached on the instance because every block size reuses
+    them.
     """
 
     n_sites: int
     gamma: np.ndarray
     _correlations: tuple | None = field(default=None, repr=False, compare=False)
+    _eigenpairs: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _beta_tables(p: ChainParams) -> tuple[np.ndarray, np.ndarray]:
@@ -146,45 +150,38 @@ def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
     (1 + Z^T Z)^{-1} = 1 - C and (W - W^T)/2 = F: G = 1 - 2C + 2F = 2W - 1,
     the Cayley form of a pure Gaussian state.
 
-    W is never formed.  Z couples the even sites (0-based) only to the odd
-    ones, through the n x n block Y = gamma_eo - gamma_oe^T, n = N/2.  Y is
-    Toeplitz in the cell separation, so with R reversing the odd sites
-    S = Y R is Hankel and exactly symmetric.  In the basis (even sites, odd
-    sites reversed) 1 + Z = [[1, S], [-S, 1]], the real form of 1 - iS, and
-    W = [[P, -SP], [SP, P]] with P = (1 + S^2)^{-1}.  One eigensolve
-    S = V diag(lambda) V^T gives P and SP as V diag(w) V^T with the weights
-    1 / (1 + lambda^2) and lambda / (1 + lambda^2), bounded by 1 and 1/2;
-    no Gram product enters, so nothing squares the conditioning of S.  Then
-    C_ee = 1 - P, C_oo = R (1 - P) R, F_eo = -SP R and F_oe = R SP.  P and
-    SP are symmetrized once, which makes C exactly symmetric and F exactly
-    antisymmetric.  The cost is one n x n symmetric eigensolve and two n^3
-    products, in O(N^2) memory.
+    C and F are split off the full N x N block of G D, which
+    _reference_block lays out as it does every smaller block: G = (G D) D,
+    C = (1 - (G + G^T)/2) / 2 and F = (G - G^T) / 4.  That block is exactly
+    symmetric, so C is exactly symmetric and F exactly antisymmetric.  The
+    pair is cached on g.
     """
     if g._correlations is not None:
         return g._correlations
-    gamma = g.gamma
-    if np.iscomplexobj(gamma):
-        raise ParameterError(f"pairing matrix must be real, got dtype {gamma.dtype}")
-    p, sp = _cayley_blocks(gamma)
-    n = len(p)
-    c, f = np.zeros_like(gamma), np.zeros_like(gamma)
-    c_ee = c[0::2, 0::2]
-    c_ee -= p
-    c_ee[np.diag_indices(n)] += 1.0
-    c[1::2, 1::2] = c_ee[::-1, ::-1]
-    f[0::2, 1::2] = -sp[:, ::-1]
-    f[1::2, 0::2] = sp[::-1]
-    g._correlations = (c, f)
+    n = g.n_sites
+    gmat = _reference_block(g, n)
+    gmat *= (-1.0) ** np.arange(n)
+    g._correlations = (0.5 * np.eye(n) - 0.25 * (gmat + gmat.T), 0.25 * (gmat - gmat.T))
     return g._correlations
 
 
-def _cayley_blocks(gamma: np.ndarray) -> list[np.ndarray]:
-    """P = (1 + S^2)^{-1} and S P for the Hankel block S of gamma - gamma^T.
+def _cayley_eigenpairs(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lambda, V) of the Hankel block S of Z = gamma - gamma^T.
 
-    Checks the two facts pair_correlations rests on: gamma's same-sublattice
-    blocks are symmetric, so they drop out of Z, and S is exactly symmetric.
-    Both results are symmetrized, each once.
+    Z couples the even sites (0-based) only to the odd ones, through the
+    n x n block Y = gamma_eo - gamma_oe^T, n = N/2.  Y is Toeplitz in the
+    cell separation, so with R reversing the odd sites S = Y R is Hankel
+    and exactly symmetric.  The function checks the three facts the
+    reference route rests on: gamma is real, its same-sublattice blocks are
+    symmetric, so they drop out of Z, and S is exactly symmetric.  Then it
+    runs the route's one factorization, S = V diag(lambda) V^T, and caches
+    the pair on g, so every block size and pair_correlations share it.
     """
+    if g._eigenpairs is not None:
+        return g._eigenpairs
+    gamma = g.gamma
+    if np.iscomplexobj(gamma):
+        raise ParameterError(f"pairing matrix must be real, got dtype {gamma.dtype}")
     for sub in (0, 1):
         if not np.array_equal(gamma[sub::2, sub::2], gamma[sub::2, sub::2].T):
             raise ParameterError("pairing matrix must couple even sites only to odd sites")
@@ -192,15 +189,41 @@ def _cayley_blocks(gamma: np.ndarray) -> list[np.ndarray]:
     if not np.array_equal(hankel, hankel.T):
         raise ParameterError("the even-odd block of gamma - gamma^T, odd sites reversed, "
                              "must be symmetric")
-    lam, v = np.linalg.eigh(hankel)
-    weight = 1.0 / (1.0 + lam * lam)
-    blocks = []
-    for w in (weight, lam * weight):
-        block = (v * w) @ v.T
-        block += block.T
-        block *= 0.5
-        blocks.append(block)
-    return blocks
+    g._eigenpairs = np.linalg.eigh(hankel)
+    return g._eigenpairs
+
+
+def _reference_block(g: PairingMatrix, block_len: int) -> np.ndarray:
+    """The leading block_len x block_len block of G D, from gamma.
+
+    In the basis (even sites, odd sites reversed) 1 + Z = [[1, S], [-S, 1]],
+    the real form of 1 - iS, so W = (1 + Z)^{-1} = [[P, -SP], [SP, P]] with
+    P = (1 + S^2)^{-1}, and G D = 2 W D - D.  Back in site order, with R
+    reversing the odd sites, 2 W D has the blocks 2P (even-even), -2 R P R
+    (odd-odd) and 2 S P R (even-odd), whose transpose 2 R S P is the
+    odd-even block.  From S = V diag(lambda) V^T these are Gram products of
+    the block's own rows of V, scaled by sqrt(2 w) with
+    w = 1 / (1 + lambda^2): the leading rows for the even sites, the
+    trailing rows reversed for the odd ones, and lambda once more on the
+    cross block.  The weights w and lambda w are bounded by 1 and 1/2, and
+    S is never multiplied by itself, so nothing squares its conditioning.
+    The even-even and odd-odd products are symmetric by construction and
+    the odd-even block is written as the transpose of the even-odd one, so
+    the block is exactly symmetric.  The cost is O(N L) memory and
+    O(N L^2) time after the eigensolve.
+    """
+    lam, v = _cayley_eigenpairs(g)
+    scale = np.sqrt(2.0) / np.hypot(1.0, lam)
+    even = v[: (block_len + 1) // 2] * scale
+    odd = v[::-1][: block_len // 2] * scale
+    block = np.empty((block_len, block_len))
+    block[0::2, 0::2] = even @ even.T
+    block[1::2, 1::2] = -(odd @ odd.T)
+    even *= lam
+    block[0::2, 1::2] = even @ odd.T
+    block[1::2, 0::2] = block[0::2, 1::2].T
+    block[np.diag_indices(block_len)] -= (-1.0) ** np.arange(block_len)
+    return block
 
 
 def _check_block_len(n_sites: int, block_len: int) -> None:
@@ -240,15 +263,13 @@ def majorana_occupations(block: np.ndarray) -> np.ndarray:
 def block_occupations(g: PairingMatrix, block_len: int) -> np.ndarray:
     """Natural-mode occupations of the first block_len sites, descending.
 
-    The reference route: C and F come from gamma through the one N/2 x N/2
-    eigensolve of pair_correlations, and the block of G = 1 - 2C + 2F, its
-    columns signed by sublattice, goes through majorana_occupations.
+    The reference route: the block of G D is laid out from the cached
+    eigenpairs of gamma's N/2 x N/2 Hankel block (see _reference_block) and
+    goes through majorana_occupations.  No N x N array besides gamma is
+    formed.
     """
     _check_block_len(g.n_sites, block_len)
-    c, f = pair_correlations(g)
-    cb, fb = c[:block_len, :block_len], f[:block_len, :block_len]
-    signs = (-1.0) ** np.arange(block_len)
-    return majorana_occupations((np.eye(block_len) - 2.0 * cb + 2.0 * fb) * signs)
+    return majorana_occupations(_reference_block(g, block_len))
 
 
 def majorana_table(p: ChainParams) -> np.ndarray:

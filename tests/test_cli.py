@@ -207,6 +207,20 @@ def test_largest_finite_couplings(capsys):
     assert captured.err.startswith("error: ground energy overflows")
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--n-sites", "8", "--jx", "0", "--jy", "0", "--h-field", "1", "--block-size", "4"],
+    ["entropy", "--n-sites", "8", "--h-field", "1e20", "--block-size", "4"],
+    ["entropy", "--n-sites", "8", "--h-field=-1e10", "--block-size", "4"],
+    ["scan", "--axis", "block-len", "--n-sites", "8", "--jx", "0", "--jy", "0",
+     "--h-field", "1", "--from", "1", "--to", "7", "--step", "1", "--parity", "all"],
+])
+def test_product_state_cuts_print_zero(argv, capsys):
+    # No mode is entangled, so the entropy is +0.0 and prints as 0, not -0.
+    assert cli.main(argv + ["--output", "-"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(row.split(",")[-1] == "0" for row in rows), rows
+
+
 def test_scan_saturation_differences_shrink(tmp_path):
     out = tmp_path / "sat.csv"
     assert cli.main([

@@ -243,6 +243,23 @@ def test_gapped_entropy_saturates_in_chain_length(j_y, h):
     assert abs(large - small) <= 1e-12
 
 
+def test_dimerized_chain_entropy_is_independent_of_chain_length():
+    # At h = 0 with J_x != J_y the chain is gapped, so S(N/2 - 1) and
+    # S(N/2) stop depending on N once N is well past the correlation
+    # length (measured: 1.0e-13 from N = 1000 to 4000, 3.8e-10 from 200).
+    # A block of odd length cuts one bond of each type, one of even length
+    # two bonds of one type, so S is not monotonic in L: S(N/2 - 1) = 1.7356
+    # and S(N/2) = 1.3191.
+    curves = {n: [s for _, s in block_entropy_curve(ChainParams(n, 1.0, 0.8, 0.0),
+                                                      [n // 2 - 1, n // 2])]
+              for n in (200, 1000, 4000)}
+    big = np.array(curves[4000])
+    assert np.abs(np.array(curves[1000]) - big).max() <= 1e-12, curves
+    assert np.abs(np.array(curves[200]) - big).max() <= 1e-9, curves
+    for odd_cut, even_cut in curves.values():
+        assert odd_cut > even_cut + 0.4, curves
+
+
 def test_long_chain_block_in_seconds():
     # N = 100 000 needs no N x N array; a gapped half-block of 500 sites has
     # saturated well before N = 1000, so both chains give the same entropy.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,60 @@ def test_complex_gamma_rejected():
     g = real_space_gamma(ChainParams(8, 1.0, 0.8, 0.5))
     with pytest.raises(ParameterError, match="must be real"):
         pair_correlations(PairingMatrix(n_sites=8, gamma=g.gamma.astype(complex)))
+
+
+def _bad_pairings():
+    # The three gammas the tests above refuse, with the refusal's text.
+    gamma = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5)).gamma
+    same, skewed = gamma.copy(), gamma.copy()
+    same[0, 2] = 0.1
+    skewed[0, 1] += 1e-3
+    return [(same, "only to odd"), (skewed, "must be symmetric"),
+            (gamma.astype(complex), "must be real")]
+
+
+@pytest.mark.parametrize("entry", [
+    pair_correlations,
+    lambda g: block_occupations(g, 5),
+    lambda g: block_coupling(g, 5),
+], ids=["pair_correlations", "block_occupations", "block_coupling"])
+def test_every_reference_entry_point_checks_gamma(entry):
+    for gamma, match in _bad_pairings():
+        with pytest.raises(ParameterError, match=match):
+            entry(PairingMatrix(n_sites=12, gamma=gamma))
+
+
+def test_one_eigensolve_per_gamma(monkeypatch):
+    # Every block size and the full C and F share one eigensolve of S.
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    n = 200
+    g = real_space_gamma(ChainParams(n, 1.0, 0.8, 0.3))
+    for length in (1, 2, 7, n // 2, n - 1):
+        block_occupations(g, length)
+    pair_correlations(g)
+    assert shapes == [(n // 2, n // 2)]
+
+
+def test_reference_block_path_forms_no_n_by_n_array():
+    # A block of L sites needs L x L and N/2 x N/2 arrays only: the traced
+    # peak (numpy's array buffers; LAPACK's workspace is not traced) stays
+    # below one N x N float64 array.
+    n = 2000
+    g = real_space_gamma(ChainParams(n, 1.0, 0.8, 0.3))
+    tracemalloc.start()
+    try:
+        block_occupations(g, n // 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8, peak / 2**20
 
 
 def test_momentum_occupations_match_reference_route():
