@@ -126,6 +126,8 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     p = _params_from(args)
+    if args.top_k > MAX_SCAN_POINTS:
+        raise ParameterError(f"--top-k over {MAX_SCAN_POINTS}, got {args.top_k}")
     [(_, s)] = entropy_mod.block_spectra(p, [args.block_size])
     spec = entropy_mod.entanglement_spectrum(s, args.top_k)
     running = np.cumsum(spec.lambdas)

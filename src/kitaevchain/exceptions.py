@@ -18,7 +18,7 @@ class SymmetryError(KitaevChainError):
 
 
 class SingularModeError(KitaevChainError):
-    """A momentum mode has a vanishing amplitude denominator (h <= 0 with |eps_q| = 0)."""
+    """A momentum mode is singular: zero energy, or a vanishing pair-amplitude denominator."""
 
 
 class SizeError(KitaevChainError):

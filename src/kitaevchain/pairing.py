@@ -1,31 +1,31 @@
 """Real-space structure of the ground state's pairing exponent, and the
 Majorana correlation blocks that carry block entanglement.
 
-The even-sector ground state can be written as exp(Z) acting on the fermion
-vacuum, with Z = sum_{l<m} z_{lm} c+_l c+_m.  This module builds the momentum
-pair amplitudes and their Fourier coefficients beta_n(x).  From there two
-routes reach the real matrix G = 1 - 2C + 2F of ground-state correlations.
-The pairing couples odd sites only to even sites, so with the sublattice
-signs D = diag((-1)^j) (0-based sites j) D G D = G^T: every leading L x L
-block of G D is symmetric, and its eigenvalues are +-(1 - 2 nu) for the
-natural-mode occupations nu of a block of L sites.  Both routes lay out
-that signed block and hand it to majorana_occupations, one symmetric
-eigensolve per block:
+Two independent routes reach the real matrix G = 1 - 2C + 2F of
+ground-state correlations.  The pairing couples odd sites only to even
+sites, so with the sublattice signs D = diag((-1)^j) (0-based sites j)
+D G D = G^T: every leading L x L block of G D is symmetric, and its
+eigenvalues are +-(1 - 2 nu) for the natural-mode occupations nu of a block
+of L sites.  Both routes lay out that signed block and hand it to
+majorana_occupations, one symmetric eigensolve per block:
 
-- the momentum route (majorana_table, majorana_block) turns Z into 2 x 2
-  symbols over the two-site unit cell, forms C and F there in closed form,
-  and transforms them back into one table of G per cell separation.  It
-  costs O(N log N + L^3) time and O(N + L^2) memory, and feeds the entropy
-  pipeline;
+- the momentum route (majorana_table, majorana_block) reads G's unitary
+  2 x 2 symbol over the two-site unit cell off the dispersion, and one
+  inverse FFT of length N/2 turns it into one table of G per cell
+  separation.  It costs O(N log N + L^3) time and O(N + L^2) memory, and
+  feeds the entropy pipeline;
 - the paper's construction (real_space_gamma, block_occupations,
-  pair_correlations) builds the N x N site-pair matrix gamma from two
-  Toeplitz layouts of the beta tables.  Z = gamma - gamma^T couples the two
-  sublattices through one Hankel, hence symmetric, N/2 x N/2 block S.  One
-  symmetric eigensolve of S, cached on the gamma, gives every block of G D
-  as Gram products of the block's rows of the eigenvectors; the full C and
-  F are the split of the block at L = N.  Gamma is its only N x N array;
-  it costs one (N/2)^3 eigensolve plus O(N L^2) per block, uses no FFT
-  after the beta tables, and is the independent reference.
+  pair_correlations) writes the ground state as exp(Z) on the fermion
+  vacuum, Z = sum_{l<m} z_{lm} c+_l c+_m, through the momentum pair
+  amplitudes and their Fourier coefficients beta_n(x), laid out as two
+  Toeplitz rows of the N x N site-pair matrix gamma.  Z = gamma - gamma^T
+  couples the sublattices through one Hankel, hence symmetric, N/2 x N/2
+  block S.  One eigensolve of S, cached on the gamma, gives every block of
+  G D as Gram products of the block's rows of the eigenvectors; the full C
+  and F are the split of the block at L = N.  It costs one (N/2)^3
+  eigensolve plus O(N L^2) per block and is the independent reference: it
+  shares only the dispersion, the rescaling and the momentum grid of model
+  with the momentum route.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ def pair_amplitudes(p: ChainParams, q):
 
     a_n = eps_n / (h + sqrt(|eps_q|^2 + h^2)).  For h <= 0 the denominator
     is evaluated as |eps_q|^2 / (sqrt(|eps_q|^2 + h^2) - h), which is the
-    same number without the cancellation; it vanishes only when h <= 0 and
-    |eps_q| = 0 together, which is a singular mode.  The amplitudes depend
-    only on the ratios J_x : J_y : h, so they are evaluated on the
-    unit_scaled couplings, whose squares neither overflow nor underflow.
+    same number without the cancellation.  It vanishes, raising
+    SingularModeError, where h <= 0 and |eps_q|^2 is 0 or underflows (|h| / J
+    over about 1e162).  At h < 0 that is the filled product state, which
+    majorana_table gives S = 0 but real_space_gamma still refuses.  The
+    amplitudes depend only on the ratios J_x : J_y : h, so they are
+    evaluated on the unit_scaled couplings, whose squares cannot overflow.
     """
     unit, _ = unit_scaled(p)
     eps1, eps2 = dispersion(unit, q)
@@ -279,33 +281,29 @@ def majorana_table(p: ChainParams) -> np.ndarray:
     G_{2a+s, 2b+t} for a - b = d >= 0 (0-based sites, s and t the
     sublattices); at negative separation G(d) = -G(d + N/2).
 
-    Z = gamma - gamma^T depends only on the cell separation and the
-    sublattices, with that same antiperiodic wrap, so it is block-diagonal
-    over the N/2 cell momenta K = (2k + 1) pi / (N/2), where it reduces to a
-    2 x 2 symbol Zhat = [[0, z01], [z10, 0]].  There C = Z (1 + Z^T Z)^{-1} Z^T
-    and F = -(1 + Z Z^T)^{-1} Z are diagonal and off-diagonal with the
-    entries |z|^2 / (1 + |z|^2) and -z / (1 + |z|^2), and one inverse FFT
-    brings them back to real space.  No N x N matrix is formed.
+    G depends only on the cell separation and the sublattices, so it is
+    block-diagonal over the cell momenta K = 2q, q = (2k + 1) pi / N the
+    positive momenta.  With E = sqrt(|eps_q|^2 + h^2) its symbol there is
+    the unitary matrix (the state is pure) Ghat = [[h, e], [-e*, h]] / E,
+    e = (eps1 - i eps2) e^{-iq}, and one inverse FFT brings it back to real
+    space; table[0, 0] == table[1, 1].  This is the paper's amplitude
+    algebra in closed form: the symbol of Z is z = -(a1 - i a2) e^{-iq}, so
+    C = |z|^2 / (1 + |z|^2) = (E - h) / 2E and F = -z / (1 + |z|^2) = e / 2E.
+    On unit_scaled couplings no square overflows, and E vanishes, raising
+    SingularModeError, only at J_x = J_y = h = 0.
     """
-    n, cells = p.n_sites, p.n_sites // 2
-    b1, b2 = _beta_tables(p)
-    d = np.arange(cells)
-    # The two nonzero columns of Z = 2 gamma in the parity form of
-    # real_space_gamma: an odd site to the even site of the cell d back
-    # (x = 2d - 1, both prefactors -2), and an even site to the odd site of
-    # the cell d back (x = 2d + 1, prefactors +2 and -2).  Tables start at
-    # x = -(N - 1).
-    x_oe, x_eo = 2 * d + n - 2, 2 * d + n
-    columns = np.stack([-4.0 * (b1.real[x_oe] + b2.imag[x_oe]),
-                        4.0 * (b1.real[x_eo] - b2.imag[x_eo])])
-    half_shift = np.exp(1j * np.pi * d / cells)
-    z = np.fft.fft(columns / half_shift)
-    damp = 1.0 / (1.0 + np.abs(z) ** 2)
-    symbols = np.concatenate([np.abs(z) ** 2 * damp, -z * damp])
-    c00, c11, f01, f10 = (half_shift * np.fft.ifft(symbols)).real
-    table = np.stack([[-2.0 * c00, 2.0 * f01], [2.0 * f10, -2.0 * c11]])
-    table[[0, 1], [0, 1], 0] += 1.0
-    return table
+    cells = p.n_sites // 2
+    q = momentum_grid(p.n_sites)[0][cells:]
+    unit, _ = unit_scaled(p)
+    eps1, eps2 = dispersion(unit, q)
+    energy = np.sqrt(eps1 * eps1 + eps2 * eps2 + unit.h_field * unit.h_field)
+    if not np.all(energy):
+        raise SingularModeError(f"every mode has zero energy at {p}: no unique ground state")
+    eps = (eps1 - 1j * eps2) * np.exp(-1j * q)
+    h = np.full(cells, unit.h_field)
+    symbols = np.stack([[h, eps], [-eps.conj(), h]]) / energy
+    half_shift = np.exp(1j * np.pi * np.arange(cells) / cells)
+    return (half_shift * np.fft.ifft(symbols)).real
 
 
 def majorana_block(table: np.ndarray, block_len: int) -> np.ndarray:

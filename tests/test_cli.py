@@ -193,7 +193,7 @@ def _entropy_at(scale, capsys, **couplings):
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e300])
 def test_entropy_depends_only_on_coupling_ratios(scale, capsys):
     # Squaring couplings this large or small overflows or underflows; the
-    # amplitudes are computed on couplings rescaled by a power of two.
+    # mode energies are computed on couplings rescaled by a power of two.
     unit = _entropy_at(1.0, capsys, jx=1.0, jy=1.0, h_field=1.0)
     assert abs(_entropy_at(scale, capsys, jx=1.0, jy=1.0, h_field=1.0) - unit) <= 1e-12
 
@@ -213,12 +213,50 @@ def test_largest_finite_couplings(capsys):
     ["entropy", "--n-sites", "8", "--h-field=-1e10", "--block-size", "4"],
     ["scan", "--axis", "block-len", "--n-sites", "8", "--jx", "0", "--jy", "0",
      "--h-field", "1", "--from", "1", "--to", "7", "--step", "1", "--parity", "all"],
+    # The filled product state, h < 0 far beyond the couplings or with none:
+    # it needs no pair amplitude, whose denominator vanishes or underflows.
+    ["entropy", "--n-sites", "8", "--h-field=-1e160", "--block-size", "4"],
+    ["entropy", "--n-sites", "8", "--h-field=-1e200", "--block-size", "4"],
+    ["entropy", "--n-sites", "8", "--jx", "0", "--jy", "0", "--h-field=-1", "--block-size", "4"],
+    ["scan", "--axis", "block-len", "--n-sites", "8", "--jx", "0", "--jy", "0",
+     "--h-field=-1", "--from", "1", "--to", "7", "--step", "1", "--parity", "all"],
 ])
 def test_product_state_cuts_print_zero(argv, capsys):
     # No mode is entangled, so the entropy is +0.0 and prints as 0, not -0.
     assert cli.main(argv + ["--output", "-"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert rows and all(row.split(",")[-1] == "0" for row in rows), rows
+
+
+@pytest.mark.parametrize("command", [
+    ["entropy", "--n-sites", "8", "--block-size", "4"],
+    ["scan", "--axis", "block-len", "--n-sites", "8", "--from", "1", "--to", "7", "--step", "1"],
+])
+def test_vanishing_couplings_and_field_are_usage_errors(command, capsys):
+    # J_x = J_y = h = 0: every mode has zero energy and no ground state is
+    # singled out.
+    argv = command + ["--jx", "0", "--jy", "0", "--h-field", "0", "--output", "-"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_spectrum_top_k_is_capped(monkeypatch, capsys):
+    # The best-first search keeps every value it emits: refuse a count past
+    # the scan cap before any table is built.
+    def no_table(p):
+        raise AssertionError("table built for a refused --top-k")
+
+    argv = ["spectrum", "--n-sites", "8", "--block-size", "4", "--output", "-"]
+    with monkeypatch.context() as patch:
+        patch.setattr(kitaevchain.entropy, "majorana_table", no_table)
+        assert cli.main(argv + ["--top-k", str(cli.MAX_SCAN_POINTS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --top-k over {cli.MAX_SCAN_POINTS}")
+    assert cli.main(argv + ["--top-k", "4"]) == 0
 
 
 def test_scan_saturation_differences_shrink(tmp_path):

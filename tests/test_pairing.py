@@ -3,8 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kitaevchain import oracle
-from kitaevchain.entropy import block_entropy, schmidt_numbers
+from kitaevchain import cli, oracle, pairing
+from kitaevchain.entropy import (
+    block_entropy,
+    block_entropy_curve,
+    block_spectra,
+    schmidt_numbers,
+)
 from kitaevchain.exceptions import ParameterError, SingularModeError
 from kitaevchain.model import ChainParams, momentum_grid
 from kitaevchain.pairing import (
@@ -406,6 +411,68 @@ def test_momentum_occupations_match_reference_route():
         fast = majorana_occupations(majorana_block(table, length))
         assert np.abs(fast - block_occupations(g, length)).max() < 1e-13
         assert fast.min() >= 0.0 and fast.max() <= 0.5
+
+
+def _column_fft_table(p):
+    # The table by the pairing algebra: the two nonzero columns of
+    # Z = 2 gamma from the beta tables, FFT'd to the cell symbols z, then
+    # C = |z|^2 / (1 + |z|^2) and F = -z / (1 + |z|^2) transformed back.
+    from kitaevchain.pairing import _beta_tables
+
+    n, cells = p.n_sites, p.n_sites // 2
+    b1, b2 = _beta_tables(p)
+    d = np.arange(cells)
+    x_oe, x_eo = 2 * d + n - 2, 2 * d + n
+    columns = np.stack([-4.0 * (b1.real[x_oe] + b2.imag[x_oe]),
+                        4.0 * (b1.real[x_eo] - b2.imag[x_eo])])
+    half_shift = np.exp(1j * np.pi * d / cells)
+    z = np.fft.fft(columns / half_shift)
+    damp = 1.0 / (1.0 + np.abs(z) ** 2)
+    symbols = np.concatenate([np.abs(z) ** 2 * damp, -z * damp])
+    c00, c11, f01, f10 = (half_shift * np.fft.ifft(symbols)).real
+    table = np.stack([[-2.0 * c00, 2.0 * f01], [2.0 * f10, -2.0 * c11]])
+    table[[0, 1], [0, 1], 0] += 1.0
+    return table
+
+
+@pytest.mark.parametrize("n", [8, 16, 200, 1000, 4000])
+def test_table_matches_pairing_algebra(n):
+    # The closed-form symbol of G against the amplitude -> beta -> FFT path
+    # it replaces (measured 5.9e-16 at most).
+    for j_y in (0.8, 1.0, 1.3, 0.0, -1.0):
+        for h in (-5.0, -0.7, 0.0, 0.3, 5.0, 20.0):
+            p = ChainParams(n, 1.0, j_y, h)
+            table = majorana_table(p)
+            assert table.shape == (2, 2, n // 2)
+            assert np.array_equal(table[0, 0], table[1, 1])
+            err = np.abs(table - _column_fft_table(p)).max()
+            assert err <= 1e-15, (j_y, h, err)
+
+
+@pytest.mark.parametrize("n", [12, 16, 200, 1000])
+def test_table_rows_are_unit_vectors(n):
+    # G is orthogonal for a pure state, and row 2a + s of G holds every
+    # table[s, t, d] once, up to sign.
+    for j_y, h in SVD_GRID:
+        table = majorana_table(ChainParams(n, 1.0, j_y, h))
+        norms = (table**2).sum(axis=(1, 2))
+        assert np.abs(norms - 1.0).max() <= 1e-15, (j_y, h, norms)
+
+
+def test_momentum_route_needs_no_pair_amplitudes(monkeypatch, capsys):
+    # The fast path shares only model's dispersion, rescaling and grid with
+    # the reference route, so the cross-route tests compare independent paths.
+    def refused(*args):
+        raise AssertionError("the momentum route reached the pairing algebra")
+
+    monkeypatch.setattr(pairing, "pair_amplitudes", refused)
+    monkeypatch.setattr(pairing, "_beta_tables", refused)
+    p = ChainParams(16, 1.0, 0.8, 0.3)
+    assert len(block_entropy_curve(p, [2, 8])) == 2
+    assert len(block_spectra(p, [5])) == 1
+    argv = ["entropy", "--n-sites", "16", "--jy", "0.8", "--h-field", "0.3", "--block-size", "8"]
+    assert cli.main(argv + ["--output", "-"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_majorana_block_length_validated():
