@@ -4,12 +4,14 @@ The chain couples odd bonds through x spins and even bonds through y spins,
 with a uniform transverse field.  A momentum-space pairing construction
 reduces ground-state block entanglement to an eigenproblem linear in the
 chain length; a brute-force diagonalization oracle checks it at small sizes.
+
+The top level holds the calls the README and demos use and the errors they
+raise; every other name is imported from its submodule.
 """
 
 from .entropy import (
     EntanglementSpectrum,
     FitResult,
-    SchmidtSpectrum,
     block_entropy,
     block_entropy_curve,
     block_spectra,
@@ -18,72 +20,29 @@ from .entropy import (
     fit_log_slope,
     schmidt_numbers,
 )
-from .exceptions import (
-    ConvergenceError,
-    DimensionError,
-    KitaevChainError,
-    NormalizationError,
-    ParameterError,
-    SingularModeError,
-    SizeError,
-    SymmetryError,
-    ValidityError,
-)
-from .model import (
-    ChainParams,
-    dispersion,
-    ground_degeneracy,
-    ground_energy,
-    momentum_grid,
-)
-from .pairing import (
-    BlockCoupling,
-    PairingMatrix,
-    block_coupling,
-    block_occupations,
-    majorana_block,
-    majorana_occupations,
-    majorana_table,
-    pair_amplitudes,
-    pair_correlations,
-    real_space_gamma,
-)
+from .exceptions import KitaevChainError, ParameterError, SingularModeError, SizeError
+from .model import ChainParams, ground_degeneracy, ground_energy
+from .pairing import block_coupling, real_space_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockCoupling",
     "ChainParams",
-    "ConvergenceError",
-    "DimensionError",
     "EntanglementSpectrum",
     "FitResult",
     "KitaevChainError",
-    "NormalizationError",
-    "PairingMatrix",
     "ParameterError",
-    "SchmidtSpectrum",
     "SingularModeError",
     "SizeError",
-    "SymmetryError",
-    "ValidityError",
     "block_coupling",
     "block_entropy",
     "block_entropy_curve",
-    "block_occupations",
     "block_spectra",
-    "dispersion",
     "entanglement_spectrum",
     "enumerate_spectrum",
     "fit_log_slope",
     "ground_degeneracy",
     "ground_energy",
-    "majorana_block",
-    "majorana_occupations",
-    "majorana_table",
-    "momentum_grid",
-    "pair_amplitudes",
-    "pair_correlations",
     "real_space_gamma",
     "schmidt_numbers",
     "__version__",

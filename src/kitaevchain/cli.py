@@ -3,7 +3,8 @@
 Every subcommand emits CSV with a header row, \\n line endings, and floats
 rendered at 17 significant digits so a round-trip through the text recovers
 the exact binary value.  Exit codes: 0 on success, 1 when a comparison
-subcommand finds disagreement, 2 on usage errors.
+subcommand finds disagreement, 2 on usage errors and on chains too large
+for memory.
 """
 
 from __future__ import annotations
@@ -59,9 +60,16 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
 
 
 def _block_lens(args) -> list[int]:
-    """The block lengths of --from/--to/--step, rounded, of the chosen parity; none is an error."""
-    lens = [int(round(v)) for v in _axis_values(args.start, args.stop, args.step)]
-    lens = entropy_mod._parity_filter(lens, args.parity)
+    """The block lengths of --from/--to/--step of the chosen parity; none is an error.
+
+    The range must be given in whole numbers: rounding a fractional one
+    would repeat lengths.
+    """
+    values = _axis_values(args.start, args.stop, args.step)
+    if not all(v.is_integer() for v in (args.start, args.stop, args.step)):
+        raise ParameterError(f"block lengths must be whole numbers, got from {args.start} "
+                             f"to {args.stop} step {args.step}")
+    lens = [n for n in map(int, values) if args.parity == "all" or n % 2 == (args.parity == "odd")]
     if not lens:
         raise ParameterError(
             f"no {args.parity} block length from {args.start} to {args.stop} step {args.step}"
@@ -103,8 +111,9 @@ def _cmd_energy(args) -> int:
 
 def _cmd_degeneracy(args) -> int:
     p = _params_from(args)
-    predicted = ground_degeneracy(p.n_sites)
+    # The oracle's size check first: 2^(N/2 - 1) alone takes seconds at N = 10^9.
     counts = oracle.full_spectrum_degeneracy(p)
+    predicted = ground_degeneracy(p.n_sites)
     _write_csv(
         args.output,
         ["n_sites", "predicted_even", "even_sector", "odd_sector", "total"],
@@ -162,7 +171,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_fit(args) -> int:
     curve = entropy_mod.block_entropy_curve(_params_from(args), _block_lens(args))
-    fit = entropy_mod.fit_log_slope(curve, (int(args.start), int(args.stop)), args.parity)
+    fit = entropy_mod.fit_log_slope(curve, (int(args.start), int(args.stop)))
     _write_csv(
         args.output,
         ["slope", "intercept", "r_squared", "l_min", "l_max", "n_points"],
@@ -232,6 +241,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except KitaevChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory for this chain: {exc}", file=sys.stderr)
         return 2
 
 

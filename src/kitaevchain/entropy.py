@@ -13,7 +13,8 @@ formed: the way back to the weights would only add rounding.
 block_spectra and block_entropy_curve run the momentum route: one table of G
 per chain, one largest block, one symmetric eigensolve per block size.  Both
 routes hand their occupations to schmidt_numbers, which keeps the ones that
-can be entangled.
+can be entangled; block_entropy, entanglement_spectrum and enumerate_spectrum
+take that occupation array as it is.
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -45,17 +46,6 @@ ENUMERATION_LIMIT = 20
 
 
 @dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Occupations nu_n of a block's entangled modes, descending.
-
-    One entry per site of the block: the modes that cannot be entangled, or
-    whose occupation is rounding noise, are exact zeros at the end.
-    """
-
-    occupations: np.ndarray
-
-
-@dataclass(frozen=True)
 class EntanglementSpectrum:
     """Largest reduced-density eigenvalues, descending, and their total weight."""
 
@@ -63,36 +53,36 @@ class EntanglementSpectrum:
     total_captured: float
 
 
-def schmidt_numbers(c: BlockCoupling) -> SchmidtSpectrum:
+def schmidt_numbers(c: BlockCoupling) -> np.ndarray:
     """The entangled modes' occupations from a block's occupations, descending.
 
-    A pure Gaussian state has at most min(L, N - L) modes with occupation
-    strictly between 0 and 1, so only the min(L, N - L) largest nu are kept;
-    the others, frozen up to rounding, count as exact zeros, and so does any
-    nu below NU_FLOOR.
+    One entry per site of the block.  A pure Gaussian state has at most
+    min(L, N - L) modes with occupation strictly between 0 and 1, so only
+    the min(L, N - L) largest nu are kept; the others, frozen up to
+    rounding, count as exact zeros at the end, and so does any nu below
+    NU_FLOOR.
     """
-    nu = c.occupations
-    block_len = len(nu)
+    block_len = len(c.occupations)
     keep = min(block_len, c.n_sites - block_len)
-    occupations = np.zeros(block_len)
-    occupations[:keep] = nu[:keep]
-    occupations[occupations < NU_FLOOR] = 0.0
-    return SchmidtSpectrum(occupations=occupations)
+    nu = np.zeros(block_len)
+    nu[:keep] = c.occupations[:keep]
+    nu[nu < NU_FLOOR] = 0.0
+    return nu
 
 
-def block_entropy(s: SchmidtSpectrum) -> float:
-    """E = sum_n H(nu_n) in bits; zero modes contribute exactly 0.
+def block_entropy(nu: np.ndarray) -> float:
+    """E = sum_n H(nu_n) in bits, from occupations; zero modes contribute exactly 0.
 
     Each term is negated before the sum, so a block with no entangled mode
     sums nothing to +0.0 rather than negating an empty sum to -0.0.
     """
-    nu = np.clip(s.occupations, 0.0, 1.0)
+    nu = np.clip(nu, 0.0, 1.0)
     nu = nu[(nu > 0.0) & (nu < 1.0)]
     return float((-nu * np.log2(nu) - (1 - nu) * np.log2(1 - nu)).sum())
 
 
-def entanglement_spectrum(s: SchmidtSpectrum, count: int) -> EntanglementSpectrum:
-    """The count largest reduced-density eigenvalues, without full enumeration.
+def entanglement_spectrum(nu: np.ndarray, count: int) -> EntanglementSpectrum:
+    """The count largest reduced-density eigenvalues from occupations nu.
 
     Every eigenvalue is a product over modes of either 1 - nu_n or nu_n.
     The largest takes the bigger weight from every mode; the rest are reached
@@ -103,7 +93,6 @@ def entanglement_spectrum(s: SchmidtSpectrum, count: int) -> EntanglementSpectru
     """
     if count < 1:
         raise ParameterError(f"count must be positive, got {count}")
-    nu = s.occupations
     bigger, smaller = np.maximum(1.0 - nu, nu), np.minimum(1.0 - nu, nu)
     top = float(np.prod(bigger))
     if top == 0.0:
@@ -129,22 +118,22 @@ def entanglement_spectrum(s: SchmidtSpectrum, count: int) -> EntanglementSpectru
     return EntanglementSpectrum(lambdas=lam, total_captured=float(lam.sum()))
 
 
-def enumerate_spectrum(s: SchmidtSpectrum) -> np.ndarray:
-    """All 2^L reduced-density eigenvalues, descending, zeros included.
+def enumerate_spectrum(nu: np.ndarray) -> np.ndarray:
+    """All 2^L reduced-density eigenvalues from occupations nu, descending, zeros included.
 
     Exponential in the block length; intended for small-block consistency
     checks.
     """
-    if len(s.occupations) > ENUMERATION_LIMIT:
+    if len(nu) > ENUMERATION_LIMIT:
         raise SizeError(f"enumeration limited to {ENUMERATION_LIMIT} modes")
     lam = np.ones(1)
-    for nu in s.occupations:
-        lam = np.concatenate([lam * (1.0 - nu), lam * nu])
+    for mode in nu:
+        lam = np.concatenate([lam * (1.0 - mode), lam * mode])
     return np.sort(lam)[::-1]
 
 
-def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, SchmidtSpectrum]]:
-    """Schmidt spectrum of the first L sites for each requested L, in order.
+def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
+    """Entangled-mode occupations of the first L sites for each requested L, in order.
 
     The table of G and its largest requested signed block are built once;
     each block size takes the eigenvalues of a leading slice of that block.
@@ -164,18 +153,7 @@ def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, SchmidtSpectrum
 
 def block_entropy_curve(p: ChainParams, block_lens) -> list[tuple[int, float]]:
     """Entropy in bits at each requested block size, in request order."""
-    return [(length, block_entropy(s)) for length, s in block_spectra(p, block_lens)]
-
-
-def _parity_filter(items: list, parity: str, key=lambda item: item) -> list:
-    """The items whose block length key(item) has the given parity, in order."""
-    if parity == "even":
-        return [item for item in items if key(item) % 2 == 0]
-    if parity == "odd":
-        return [item for item in items if key(item) % 2 == 1]
-    if parity == "all":
-        return items
-    raise ParameterError(f"unknown parity filter {parity!r}")
+    return [(length, block_entropy(nu)) for length, nu in block_spectra(p, block_lens)]
 
 
 @dataclass(frozen=True)
@@ -187,16 +165,15 @@ class FitResult:
     n_points: int
 
 
-def fit_log_slope(curve, window: tuple[int, int], parity: str = "even") -> FitResult:
+def fit_log_slope(curve, window: tuple[int, int]) -> FitResult:
     """Least-squares slope of entropy against log2(block length).
 
-    Points outside the window or of the wrong parity are dropped; at least
-    four must remain.  A constant curve fits its own mean exactly, so its
-    r_squared is 1 by convention.
+    Points outside the window are dropped; at least four must remain.  A
+    constant curve fits its own mean exactly, so its r_squared is 1 by
+    convention.
     """
     l_min, l_max = window
-    in_window = [pt for pt in curve if l_min <= pt[0] <= l_max]
-    pts = _parity_filter(in_window, parity, key=lambda pt: pt[0])
+    pts = [pt for pt in curve if l_min <= pt[0] <= l_max]
     if len(pts) < 4:
         raise ParameterError(f"need at least 4 points to fit, got {len(pts)}")
     lengths, e_vals = np.array(pts, dtype=float).T

@@ -23,6 +23,9 @@ def _check_sites(n_sites: int) -> None:
         raise ParameterError(
             f"n_sites must be a multiple of 4 and at least 4, got {n_sites}"
         )
+    # Past 2^53 the momentum grid's odd indices are no longer exact floats.
+    if n_sites > 2**53:
+        raise ParameterError(f"n_sites must be at most 2**53, got {n_sites}")
 
 
 @dataclass(frozen=True)

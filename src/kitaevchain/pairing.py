@@ -14,7 +14,7 @@ majorana_occupations, one symmetric eigensolve per block:
   inverse FFT of length N/2 turns it into one table of G per cell
   separation.  It costs O(N log N + L^3) time and O(N + L^2) memory, and
   feeds the entropy pipeline;
-- the paper's construction (real_space_gamma, block_occupations,
+- the paper's construction (real_space_gamma, block_coupling,
   pair_correlations) writes the ground state as exp(Z) on the fermion
   vacuum, Z = sum_{l<m} z_{lm} c+_l c+_m, through the momentum pair
   amplitudes and their Fourier coefficients beta_n(x), laid out as two
@@ -65,16 +65,6 @@ def pair_amplitudes(p: ChainParams, q):
             )
         den = r2 / (root - unit.h_field)
     return eps1 / den, eps2 / den
-
-
-def beta_coefficients(p: ChainParams, n: int, x: int) -> complex:
-    """Fourier coefficient beta_n(x) = (1/N) sum_q a_n(q) e^{iqx}."""
-    if n not in (1, 2):
-        raise ParameterError(f"amplitude index must be 1 or 2, got {n}")
-    _, qs = momentum_grid(p.n_sites)
-    a1, a2 = pair_amplitudes(p, qs)
-    amps = a1 if n == 1 else a2
-    return complex(np.sum(amps * np.exp(1j * qs * x)) / p.n_sites)
 
 
 @dataclass
@@ -262,18 +252,6 @@ def majorana_occupations(block: np.ndarray) -> np.ndarray:
     return np.maximum(0.5 * (1.0 - np.sort(np.abs(lam))), 0.0)
 
 
-def block_occupations(g: PairingMatrix, block_len: int) -> np.ndarray:
-    """Natural-mode occupations of the first block_len sites, descending.
-
-    The reference route: the block of G D is laid out from the cached
-    eigenpairs of gamma's N/2 x N/2 Hankel block (see _reference_block) and
-    goes through majorana_occupations.  No N x N array besides gamma is
-    formed.
-    """
-    _check_block_len(g.n_sites, block_len)
-    return majorana_occupations(_reference_block(g, block_len))
-
-
 def majorana_table(p: ChainParams) -> np.ndarray:
     """G = 1 - 2C + 2F between the cells of two sites, per cell separation.
 
@@ -343,5 +321,12 @@ class BlockCoupling:
 
 
 def block_coupling(g: PairingMatrix, block_len: int) -> BlockCoupling:
-    """Canonical cross-block coupling for a bipartition after block_len sites."""
-    return BlockCoupling(block_occupations(g, block_len), g.n_sites)
+    """Canonical cross-block coupling for a bipartition after block_len sites.
+
+    The reference route: the block of G D is laid out from the cached
+    eigenpairs of gamma's N/2 x N/2 Hankel block (see _reference_block) and
+    goes through majorana_occupations.  No N x N array besides gamma is
+    formed.
+    """
+    _check_block_len(g.n_sites, block_len)
+    return BlockCoupling(majorana_occupations(_reference_block(g, block_len)), g.n_sites)

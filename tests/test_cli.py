@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,65 @@ def test_oversized_scan_ranges_are_usage_errors(command, start, stop, step, caps
     assert captured.err.startswith(f"error: over {cli.MAX_SCAN_POINTS} points")
 
 
+@pytest.mark.parametrize("flag,value", [("--from", "2.5"), ("--to", "4.5"), ("--step", "0.5")])
+@pytest.mark.parametrize("command", [
+    ["scan", "--axis", "block-len", "--n-sites", "16", "--parity", "all"],
+    ["fit", "--n-sites", "64", "--parity", "all"],
+    ["compare", "--n-sites", "8", "--parity", "all"],
+])
+def test_fractional_block_ranges_are_usage_errors(command, flag, value, capsys):
+    # Rounding 2, 2.5, 3, 3.5, 4 to block lengths would repeat L = 2 and 4.
+    ranges = {"--from": "2", "--to": "4", "--step": "1", flag: value}
+    argv = command + [item for pair in ranges.items() for item in pair]
+    assert cli.main(argv + ["--output", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: block lengths must be whole numbers")
+
+
+def test_whole_block_ranges_may_be_written_as_floats(capsys):
+    argv = ["scan", "--axis", "block-len", "--n-sites", "16", "--output", "-"]
+    assert cli.main(argv + ["--from", "2.0", "--to", "4.0", "--step", "1.0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "3", "4"]
+
+
+def test_oversized_chains_exit_quickly(capsys):
+    # The oracle refuses N > 10 before 2^(N/2 - 1) is built, and past 2^53
+    # sites the momentum grid cannot be laid out exactly.
+    start = time.monotonic()
+    assert cli.main(["degeneracy", "--n-sites", "4000000000"]) == 2
+    assert time.monotonic() - start < 1.0
+    assert cli.main(["entropy", "--n-sites", str(4 * 10**18), "--block-size", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: dense degeneracy count limited to N <= 10, got 4000000000",
+        "error: n_sites must be at most 2**53, got 4000000000000000000",
+    ]
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    def no_memory(p):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(kitaevchain.entropy, "majorana_table", no_memory)
+    assert cli.main(["entropy", "--n-sites", "8", "--block-size", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["scan --axis block-len", "compare", "fit"])
+def test_unknown_parity_is_usage_error(command, capsys):
+    argv = command.split() + ["--n-sites", "8", "--from", "2", "--to", "4", "--parity", "prime"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'prime'" in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["energy"])
@@ -357,22 +417,18 @@ def test_fit_constant_curve():
     assert fit.r_squared == 1.0
 
 
-def test_fit_honors_window_and_parity():
+def test_fit_honors_window():
+    # Every point inside the window is fitted, of either parity: the CLI
+    # filters parity before the curve is built.
     curve = [(length, float(length)) for length in range(1, 33)]
-    fit = fit_log_slope(curve, (8, 16), parity="even")
-    assert fit.n_points == 5
+    fit = fit_log_slope(curve, (8, 16))
+    assert fit.n_points == 9
     assert fit.window == (8, 16)
 
 
 def test_fit_requires_enough_points():
     with pytest.raises(ParameterError):
         fit_log_slope([(2, 1.0), (4, 2.0), (8, 3.0)], (2, 8))
-
-
-def test_fit_rejects_unknown_parity():
-    curve = [(length, float(length)) for length in range(1, 33)]
-    with pytest.raises(ParameterError, match="unknown parity filter 'prime'"):
-        fit_log_slope(curve, (8, 16), parity="prime")
 
 
 def _run_python(*args, cwd):

@@ -6,7 +6,6 @@ import pytest
 from kitaevchain import oracle
 from kitaevchain.entropy import (
     NU_FLOOR,
-    SchmidtSpectrum,
     block_entropy,
     block_entropy_curve,
     block_spectra,
@@ -19,9 +18,9 @@ from kitaevchain.model import ChainParams
 from kitaevchain.pairing import BlockCoupling, block_coupling, real_space_gamma
 
 
-def spectrum_of(occupations) -> SchmidtSpectrum:
+def spectrum_of(occupations) -> np.ndarray:
     nu = np.asarray(occupations, dtype=float)
-    return SchmidtSpectrum(occupations=np.sort(nu)[::-1])
+    return np.sort(nu)[::-1]
 
 
 def test_block_entropy_bell_pair():
@@ -174,14 +173,14 @@ def test_curve_preserves_request_order():
 
 def test_occupation_spectrum_odds_and_frozen_modes():
     s = schmidt_numbers(BlockCoupling(np.array([0.5, 0.25, 1e-30]), 8))
-    assert np.array_equal(s.occupations, [0.5, 0.25, 0.0])
+    assert np.array_equal(s, [0.5, 0.25, 0.0])
     # Occupations below the floor are rounding noise and count as zeros.
     nu = np.array([0.5, NU_FLOOR, 0.99 * NU_FLOOR])
     s = schmidt_numbers(BlockCoupling(nu, 8))
-    assert np.array_equal(s.occupations, [0.5, NU_FLOOR, 0.0])
+    assert np.array_equal(s, [0.5, NU_FLOOR, 0.0])
     # Past half the chain only min(L, N - L) modes can be entangled.
     s = schmidt_numbers(BlockCoupling(np.array([0.5, 0.25, 0.1]), 4))
-    assert np.array_equal(s.occupations, [0.5, 0.0, 0.0])
+    assert np.array_equal(s, [0.5, 0.0, 0.0])
 
 
 def test_block_spectra_match_reference_route():
@@ -189,8 +188,8 @@ def test_block_spectra_match_reference_route():
     g = real_space_gamma(p)
     for length, s in block_spectra(p, [8, 3, 13]):
         ref = schmidt_numbers(block_coupling(g, length))
-        assert len(s.occupations) == length
-        assert np.abs(s.occupations - ref.occupations).max() < 1e-12
+        assert len(s) == length
+        assert np.abs(s - ref).max() < 1e-12
 
 
 @pytest.mark.parametrize("j_y,h", [(1.0, 0.0), (0.8, 0.3), (1.3, -5.0)])
@@ -201,7 +200,7 @@ def test_block_entropy_matches_high_precision_sum(j_y, h):
     worst = 0.0
     for length, s in block_spectra(ChainParams(1000, 1.0, j_y, h), [10, 50, 125, 250, 500]):
         with mpmath.workdps(40):
-            nus = [mpmath.mpf(float(nu)) for nu in s.occupations if nu > 0.0]
+            nus = [mpmath.mpf(float(nu)) for nu in s if nu > 0.0]
             exact = -sum(nu * mpmath.log(nu, 2) + (1 - nu) * mpmath.log(1 - nu, 2) for nu in nus)
             worst = max(worst, float(abs(block_entropy(s) - exact)))
     assert worst <= 2e-15

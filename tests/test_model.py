@@ -128,3 +128,16 @@ def test_ground_degeneracy_rejects_bad_sizes():
         ground_degeneracy(6)
     with pytest.raises(ParameterError):
         ground_degeneracy(0)
+
+
+def test_params_reject_chains_past_exact_momenta():
+    # Past 2^53 the odd momentum indices 1, 3, ..., N - 1 are no longer
+    # exact floats; the check runs before any grid is allocated.
+    ChainParams(2**53)
+    for bad in (2**53 + 4, 4 * 10**18):
+        with pytest.raises(ParameterError, match="at most 2"):
+            ChainParams(bad)
+        with pytest.raises(ParameterError):
+            momentum_grid(bad)
+        with pytest.raises(ParameterError):
+            ground_degeneracy(bad)

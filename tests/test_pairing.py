@@ -14,9 +14,7 @@ from kitaevchain.exceptions import ParameterError, SingularModeError
 from kitaevchain.model import ChainParams, momentum_grid
 from kitaevchain.pairing import (
     PairingMatrix,
-    beta_coefficients,
     block_coupling,
-    block_occupations,
     majorana_block,
     majorana_occupations,
     majorana_table,
@@ -63,6 +61,20 @@ def test_amplitudes_singular_mode_rejected():
         pair_amplitudes(ChainParams(4, 0.0, 0.0, -1.0), np.pi / 4)
     with pytest.raises(SingularModeError):
         pair_amplitudes(ChainParams(4, 0.0, 0.0, 0.0), np.pi / 4)
+
+
+def beta_coefficients(p: ChainParams, n: int, x: int) -> complex:
+    """Fourier coefficient beta_n(x) = (1/N) sum_q a_n(q) e^{iqx}, one separation at a time.
+
+    The scalar reference for pairing._beta_tables, which serves every x from
+    one FFT.
+    """
+    if n not in (1, 2):
+        raise ParameterError(f"amplitude index must be 1 or 2, got {n}")
+    _, qs = momentum_grid(p.n_sites)
+    a1, a2 = pair_amplitudes(p, qs)
+    amps = a1 if n == 1 else a2
+    return complex(np.sum(amps * np.exp(1j * qs * x)) / p.n_sites)
 
 
 def test_beta_zero_separation_closed_form():
@@ -126,7 +138,7 @@ def test_coupling_zero_gamma():
     assert c.n_sites == 8
     assert c.occupations.shape == (3,)
     assert np.abs(c.occupations).max() < 1e-14
-    assert np.array_equal(schmidt_numbers(c).occupations, np.zeros(3))
+    assert np.array_equal(schmidt_numbers(c), np.zeros(3))
 
 
 def test_coupling_shapes_and_finiteness():
@@ -138,7 +150,7 @@ def test_coupling_shapes_and_finiteness():
         assert np.all(np.isfinite(c.occupations))
         assert np.all((c.occupations >= 0.0) & (c.occupations <= 0.5))
         # A cut leaves at most min(L, N - L) entangled mode pairs.
-        assert np.count_nonzero(schmidt_numbers(c).occupations) <= min(length, 8 - length)
+        assert np.count_nonzero(schmidt_numbers(c)) <= min(length, 8 - length)
 
 
 def test_coupling_block_length_validated():
@@ -160,7 +172,7 @@ def test_coupling_depends_only_on_antisymmetric_part():
 def test_occupations_bounded_and_sorted():
     g = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5))
     for length in (1, 3, 6, 9):
-        nu = block_occupations(g, length)
+        nu = block_coupling(g, length).occupations
         assert nu.shape == (length,)
         assert nu.min() >= 0.0
         assert nu.max() <= 1.0
@@ -168,7 +180,7 @@ def test_occupations_bounded_and_sorted():
 
 
 def test_occupations_product_state():
-    nu = block_occupations(real_space_gamma(ChainParams(8, 0.0, 0.0, 1.0)), 4)
+    nu = block_coupling(real_space_gamma(ChainParams(8, 0.0, 0.0, 1.0)), 4).occupations
     assert np.abs(nu).max() < 1e-14
 
 
@@ -361,9 +373,8 @@ def _bad_pairings():
 
 @pytest.mark.parametrize("entry", [
     pair_correlations,
-    lambda g: block_occupations(g, 5),
     lambda g: block_coupling(g, 5),
-], ids=["pair_correlations", "block_occupations", "block_coupling"])
+], ids=["pair_correlations", "block_coupling"])
 def test_every_reference_entry_point_checks_gamma(entry):
     for gamma, match in _bad_pairings():
         with pytest.raises(ParameterError, match=match):
@@ -383,7 +394,7 @@ def test_one_eigensolve_per_gamma(monkeypatch):
     n = 200
     g = real_space_gamma(ChainParams(n, 1.0, 0.8, 0.3))
     for length in (1, 2, 7, n // 2, n - 1):
-        block_occupations(g, length)
+        block_coupling(g, length)
     pair_correlations(g)
     assert shapes == [(n // 2, n // 2)]
 
@@ -396,7 +407,7 @@ def test_reference_block_path_forms_no_n_by_n_array():
     g = real_space_gamma(ChainParams(n, 1.0, 0.8, 0.3))
     tracemalloc.start()
     try:
-        block_occupations(g, n // 2)
+        block_coupling(g, n // 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -409,7 +420,7 @@ def test_momentum_occupations_match_reference_route():
     table = majorana_table(p)
     for length in (1, 7, 20, 39):
         fast = majorana_occupations(majorana_block(table, length))
-        assert np.abs(fast - block_occupations(g, length)).max() < 1e-13
+        assert np.abs(fast - block_coupling(g, length).occupations).max() < 1e-13
         assert fast.min() >= 0.0 and fast.max() <= 0.5
 
 
