@@ -3,14 +3,15 @@
 Every subcommand emits CSV with a header row, \\n line endings, and floats
 rendered at 17 significant digits so a round-trip through the text recovers
 the exact binary value.  Exit codes: 0 on success, 1 when a comparison
-subcommand finds disagreement, 2 on usage errors and on chains too large
-for memory.
+subcommand finds disagreement, 2 on usage errors, on chains too large for
+memory and on output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 
@@ -37,6 +38,7 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
 
     if path == "-":
         emit(sys.stdout)
+        sys.stdout.flush()  # a reader that left fails here, inside main, not at exit
     else:
         with open(path, "w", newline="") as stream:
             emit(stream)
@@ -161,7 +163,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    result = oracle.compare_entropies(_params_from(args), _block_lens(args), allow_degenerate=True)
+    result = oracle.compare_entropies(_params_from(args), _block_lens(args))
     _write_csv(args.output, ["L", "fast", "oracle", "abs_diff"], result.rows)
     if result.passed is None:
         print("degenerate ground space: comparison recorded, not judged", file=sys.stderr)
@@ -239,7 +241,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KitaevChainError as exc:
+    except (KitaevChainError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader left; what is still buffered goes to devnull, so exit is quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

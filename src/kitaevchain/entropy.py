@@ -138,9 +138,7 @@ def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
     The table of G and its largest requested signed block are built once;
     each block size takes the eigenvalues of a leading slice of that block.
     """
-    lens = [int(length) for length in block_lens]
-    for length in lens:
-        _check_block_len(p.n_sites, length)
+    lens = [_check_block_len(p.n_sites, length) for length in block_lens]
     if not lens:
         return []
     g = majorana_block(majorana_table(p), max(lens))

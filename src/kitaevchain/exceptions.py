@@ -1,4 +1,8 @@
-"""Error taxonomy shared across the package."""
+"""Error taxonomy shared across the package.
+
+Every rejected argument, whatever its check (shape, symmetry, norm, range),
+raises ParameterError.
+"""
 
 
 class KitaevChainError(Exception):
@@ -9,28 +13,12 @@ class ParameterError(KitaevChainError):
     """An argument is outside its documented domain."""
 
 
-class DimensionError(KitaevChainError):
-    """A matrix or vector has an incompatible or empty shape."""
-
-
-class SymmetryError(KitaevChainError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
-
-
 class SingularModeError(KitaevChainError):
     """A momentum mode is singular: zero energy, or a vanishing pair-amplitude denominator."""
 
 
 class SizeError(KitaevChainError):
     """A brute-force computation was requested beyond its feasibility bound."""
-
-
-class NormalizationError(KitaevChainError):
-    """A state vector expected to be normalized is not."""
-
-
-class ValidityError(KitaevChainError):
-    """A density matrix or spectrum violates positivity beyond tolerance."""
 
 
 class ConvergenceError(KitaevChainError):

@@ -7,7 +7,8 @@ Dense symmetric/Hermitian eigensolves of sector Hamiltonians and reduced
 density matrices delegate to numpy's LAPACK bindings.  The iterative
 extreme-eigenpair solver is written here directly because the oracle needs
 a matrix-free Lanczos with reproducible behaviour, which is not something
-numpy provides.
+numpy provides.  A wrong shape or a non-Hermitian matrix raises
+ParameterError.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DimensionError, SymmetryError
+from .exceptions import ConvergenceError, ParameterError
 
 HERMITICITY_TOL = 1e-12
 
@@ -29,18 +30,18 @@ def symmetric_eigen(m) -> np.ndarray:
     """
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionError(f"expected a nonempty square matrix, got shape {a.shape}")
+        raise ParameterError(f"expected a nonempty square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.conj().T).max() > HERMITICITY_TOL * scale:
-        raise SymmetryError("matrix is not Hermitian within tolerance")
+        raise ParameterError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)
 
 
 class _GrowingBasis:
     """Row-wise storage for Lanczos vectors, grown geometrically on demand."""
 
-    def __init__(self, dim: int, dtype, capacity: int = 64):
-        self._data = np.zeros((capacity, dim), dtype=dtype)
+    def __init__(self, dim: int, dtype):
+        self._data = np.zeros((64, dim), dtype=dtype)
         self.count = 0
 
     def append(self, v: np.ndarray) -> None:
@@ -75,14 +76,14 @@ def iterative_ground_pair(
     is reached first.
     """
     if dim < 2:
-        raise DimensionError("iterative solver needs dimension >= 2")
+        raise ParameterError("iterative solver needs dimension >= 2")
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(dim)
     start /= np.linalg.norm(start)
 
     w = np.asarray(apply(start))
     if w.shape != (dim,):
-        raise DimensionError(f"operator returned shape {w.shape}, expected ({dim},)")
+        raise ParameterError(f"operator returned shape {w.shape}, expected ({dim},)")
     dtype = np.result_type(w.dtype, np.float64)
 
     basis = _GrowingBasis(dim, dtype)
@@ -107,11 +108,7 @@ def iterative_ground_pair(
         t_beta = beta  # coupling entry recorded in the tridiagonal projection
 
         if breakdown or (it + 1) % check_every == 0 or it + 1 == max_iter:
-            k = len(alphas)
-            t = np.diag(np.asarray(alphas))
-            if k > 1:
-                off = np.asarray(betas)
-                t = t + np.diag(off, 1) + np.diag(off, -1)
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             tw, tv = np.linalg.eigh(t)
             theta = float(tw[0])
             s = tv[:, 0]

@@ -11,6 +11,7 @@ uncoupled four-momentum groups labelled by q in (0, pi/2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +19,16 @@ import numpy as np
 from .exceptions import ParameterError
 
 
+def _index(name: str, value) -> int:
+    """value as a Python int; a float, even a whole one, is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_sites(n_sites: int) -> None:
+    n_sites = _index("n_sites", n_sites)
     if n_sites < 4 or n_sites % 4 != 0:
         raise ParameterError(
             f"n_sites must be a multiple of 4 and at least 4, got {n_sites}"

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ParameterError, SingularModeError
-from .model import ChainParams, dispersion, momentum_grid, unit_scaled
+from .model import ChainParams, _index, dispersion, momentum_grid, unit_scaled
 
 
 def pair_amplitudes(p: ChainParams, q):
@@ -218,9 +218,12 @@ def _reference_block(g: PairingMatrix, block_len: int) -> np.ndarray:
     return block
 
 
-def _check_block_len(n_sites: int, block_len: int) -> None:
+def _check_block_len(n_sites: int, block_len: int) -> int:
+    """block_len as a Python int, once it is a whole number in [1, n_sites - 1]."""
+    block_len = _index("block_len", block_len)
     if not 1 <= block_len <= n_sites - 1:
         raise ParameterError(f"block_len must lie in [1, {n_sites - 1}], got {block_len}")
+    return block_len
 
 
 def majorana_occupations(block: np.ndarray) -> np.ndarray:

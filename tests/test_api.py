@@ -11,6 +11,7 @@ import numpy as np
 
 import kitaevchain
 from kitaevchain import (
+    exceptions,
     ChainParams,
     block_coupling,
     block_entropy,
@@ -48,6 +49,17 @@ def test_all_is_pinned_and_resolves():
     assert kitaevchain.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(kitaevchain, name) is not None, name
+
+
+def test_one_error_per_kind():
+    # Every rejected argument is a ParameterError; only the kinds a caller
+    # may want to catch apart have their own class.
+    classes = {name for name, obj in vars(exceptions).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes == {"KitaevChainError", "ParameterError", "SingularModeError", "SizeError",
+                       "ConvergenceError"}
+    for name in classes:
+        assert issubclass(getattr(exceptions, name), kitaevchain.KitaevChainError), name
 
 
 def _top_level_imports(source: str) -> set[str]:

@@ -386,6 +386,36 @@ def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_output_is_usage_error(target, tmp_path, capsys):
+    output = tmp_path / "missing" / "x.csv" if target == "missing directory" else tmp_path
+    assert cli.main(["energy", "--n-sites", "8", "--output", str(output)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("top_k,header", [(20000, True), (4, False)])
+def test_closed_pipe_is_usage_error(top_k, header, tmp_path):
+    # The reader takes the header and leaves, as `| head -1` does, or leaves
+    # before the rows fit in one buffer; what is still buffered must not
+    # surface at exit either, so stdout is block-buffered as in a shell.
+    args = ["spectrum", "--n-sites", "40", "--h-field", "0.1", "--block-size", "20",
+            "--top-k", str(top_k)]
+    env = {k: v for k, v in _env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "kitaevchain", *args], env=env, cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if header:
+        assert proc.stdout.readline() == b"rank,lambda_value,cumulative_weight\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: [Errno 32] Broken pipe")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 @pytest.mark.parametrize("command", ["scan --axis block-len", "compare", "fit"])
 def test_unknown_parity_is_usage_error(command, capsys):
     argv = command.split() + ["--n-sites", "8", "--from", "2", "--to", "4", "--parity", "prime"]
@@ -431,12 +461,16 @@ def test_fit_requires_enough_points():
         fit_log_slope([(2, 1.0), (4, 2.0), (8, 3.0)], (2, 8))
 
 
-def _run_python(*args, cwd):
-    """Run the current interpreter with PYTHONPATH led by the tested package."""
+def _env():
+    """The environment with PYTHONPATH led by the tested package."""
     src = str(Path(kitaevchain.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=cwd)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+
+
+def _run_python(*args, cwd):
+    """Run the current interpreter on the tested package."""
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_env(), cwd=cwd)
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -212,6 +212,14 @@ def test_block_spectra_validate_every_length():
     for lens in ([0, 4], [4, 8], [-1]):
         with pytest.raises(ParameterError):
             block_spectra(p, lens)
+    # Fractional lengths are not truncated: [2.5, 3.9] is not [2, 3].
+    for lens in ([2.5, 3.9], [2.0], [4, 3.0]):
+        with pytest.raises(ParameterError, match="block_len must be an integer"):
+            block_entropy_curve(p, lens)
+    curve = block_entropy_curve(p, np.arange(2, 5))
+    assert [length for length, _ in curve] == [2, 3, 4]
+    assert all(type(length) is int for length, _ in curve)
+    assert curve == block_entropy_curve(p, range(2, 5))
 
 
 def test_entropy_even_in_field():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kitaevchain import linalg
-from kitaevchain.exceptions import ConvergenceError, DimensionError, SymmetryError
+from kitaevchain.exceptions import ConvergenceError, ParameterError
 
 
 def hilbert_charpoly(lam):
@@ -66,12 +66,12 @@ def test_eigenvalues_ascending_and_trace_preserved():
 
 
 def test_rejects_non_square_and_non_hermitian():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParameterError, match=r"square matrix, got shape \(2, 3\)"):
         linalg.symmetric_eigen(np.ones((2, 3)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParameterError, match=r"nonempty square matrix, got shape \(0, 0\)"):
         linalg.symmetric_eigen(np.zeros((0, 0)))
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(SymmetryError):
+    with pytest.raises(ParameterError, match="not Hermitian"):
         linalg.symmetric_eigen(bad)
 
 
@@ -136,5 +136,10 @@ def test_ground_pair_iteration_cap():
 
 
 def test_ground_pair_rejects_trivial_dimension():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParameterError, match="dimension >= 2"):
         linalg.iterative_ground_pair(lambda v: v, 1)
+
+
+def test_ground_pair_rejects_misshapen_operator():
+    with pytest.raises(ParameterError, match=r"operator returned shape \(3,\), expected \(4,\)"):
+        linalg.iterative_ground_pair(lambda v: v[:3], 4)

@@ -17,6 +17,11 @@ def test_params_require_multiple_of_four_sites():
             ChainParams(bad)
     ChainParams(4)
     ChainParams(1000)
+    ChainParams(np.int64(12))
+    # A whole float would pass the range checks and fail later on slicing.
+    for bad in (12.0, 12.5, "12", None):
+        with pytest.raises(ParameterError, match="n_sites must be an integer"):
+            ChainParams(bad)
 
 
 @pytest.mark.parametrize("field", ["j_x", "j_y", "h_field"])
@@ -128,6 +133,9 @@ def test_ground_degeneracy_rejects_bad_sizes():
         ground_degeneracy(6)
     with pytest.raises(ParameterError):
         ground_degeneracy(0)
+    with pytest.raises(ParameterError, match="n_sites must be an integer"):
+        ground_degeneracy(12.0)
+    assert ground_degeneracy(np.int64(12)) == 32
 
 
 def test_params_reject_chains_past_exact_momenta():

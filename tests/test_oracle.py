@@ -3,12 +3,7 @@ import pytest
 
 from kitaevchain import oracle
 from kitaevchain.entropy import block_entropy_curve, entanglement_spectrum, schmidt_numbers
-from kitaevchain.exceptions import (
-    NormalizationError,
-    ParameterError,
-    SizeError,
-    ValidityError,
-)
+from kitaevchain.exceptions import ParameterError, SizeError
 from kitaevchain.model import ChainParams, ground_degeneracy, ground_energy
 from kitaevchain.pairing import block_coupling, real_space_gamma
 
@@ -60,6 +55,11 @@ def test_apply_commutes_with_parity():
         hp = oracle.apply_hamiltonian(p, parity_apply(8, v))
         ph = parity_apply(8, oracle.apply_hamiltonian(p, v))
         assert np.abs(hp - ph).max() < 1e-12
+
+
+def test_apply_rejects_misshapen_state():
+    with pytest.raises(ParameterError, match=r"state must have shape \(16,\), got \(8,\)"):
+        oracle.apply_hamiltonian(ChainParams(4), np.zeros(8))
 
 
 def test_apply_rejects_large_chains():
@@ -156,8 +156,14 @@ def test_reduced_density_hermitian_unit_trace():
 
 
 def test_reduced_density_rejects_unnormalized():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(ParameterError, match="not normalized"):
         oracle.reduced_density(np.ones(16), 2)
+
+
+def test_reduced_density_rejects_non_power_of_two():
+    for bad in (np.ones(12) / np.sqrt(12), np.ones((4, 4)) / 4):
+        with pytest.raises(ParameterError, match="not a power of two"):
+            oracle.reduced_density(bad, 1)
 
 
 def test_pure_state_entropy_symmetric_in_cut():
@@ -187,7 +193,7 @@ def test_vn_entropy_diagonal_cases():
 
 
 def test_vn_entropy_rejects_negative_weight():
-    with pytest.raises(ValidityError):
+    with pytest.raises(ParameterError, match="density matrix has eigenvalue -1.000e-01"):
         oracle.vn_entropy(np.diag([1.1, -0.1]))
 
 
@@ -215,7 +221,7 @@ def test_compare_entropies_unequal_couplings():
 
 @pytest.mark.parametrize("j_y,h", [(0.8, 0.5), (1.0, 0.3), (1.3, -0.7), (1.0, 5.0)])
 def test_compare_entropies_measure_the_pipeline(j_y, h):
-    # The default Lanczos tolerance must sit below the pipeline's own error,
+    # ed_ground's fixed Lanczos tolerance must sit below the pipeline's own error,
     # or the comparison reports the stopping rule instead of the pipeline.
     rpt = oracle.compare_entropies(ChainParams(12, 1.0, j_y, h), range(1, 12))
     assert rpt.max_abs_diff < 1e-12
@@ -229,12 +235,18 @@ def test_compare_entropies_product_limit():
 
 
 def test_compare_entropies_degenerate_flagged_not_failed():
-    p = ChainParams(8, 1.0, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        oracle.compare_entropies(p, [2])
-    rpt = oracle.compare_entropies(p, [2], allow_degenerate=True)
-    assert rpt.degenerate_limit
+    rpt = oracle.compare_entropies(ChainParams(8, 1.0, 1.0, 0.0), [2])
+    assert [row[0] for row in rpt.rows] == [2]
     assert rpt.passed is None
+
+
+def test_compare_entropies_rejects_fractional_lengths():
+    p = ChainParams(8, 1.0, 1.0, 0.5)
+    with pytest.raises(ParameterError, match="block_len must be an integer"):
+        oracle.compare_entropies(p, [2.7])
+    rows = oracle.compare_entropies(p, np.arange(2, 4)).rows
+    assert [row[0] for row in rows] == [2, 3]
+    assert all(type(row[0]) is int for row in rows)
 
 
 def test_compare_entropies_size_gate():

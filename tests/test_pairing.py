@@ -158,6 +158,11 @@ def test_coupling_block_length_validated():
     for bad in (0, 8, 9, -1):
         with pytest.raises(ParameterError):
             block_coupling(g, bad)
+    for bad in (2.5, 2.0):
+        with pytest.raises(ParameterError, match="block_len must be an integer"):
+            block_coupling(g, bad)
+    assert np.array_equal(block_coupling(g, np.int64(3)).occupations,
+                          block_coupling(g, 3).occupations)
 
 
 def test_coupling_depends_only_on_antisymmetric_part():
@@ -491,3 +496,5 @@ def test_majorana_block_length_validated():
     for bad in (0, 8, -1):
         with pytest.raises(ParameterError):
             majorana_block(table, bad)
+    with pytest.raises(ParameterError, match="block_len must be an integer"):
+        majorana_block(table, 2.5)
