@@ -244,7 +244,9 @@ def main(argv=None) -> int:
     except (KitaevChainError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader left; what is still buffered goes to devnull, so exit is quiet.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

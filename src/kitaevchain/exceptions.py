@@ -22,9 +22,10 @@ class SizeError(KitaevChainError):
 
 
 class ConvergenceError(KitaevChainError):
-    """An iterative solver hit its iteration cap.
+    """An iterative solver hit its iteration cap or ran out of directions.
 
-    Carries the best residual seen so the caller can judge how close it got.
+    Carries the best residual seen so the caller can judge how close it got,
+    and the iterations actually run.
     """
 
     def __init__(self, message, best_residual=None, iterations=None):

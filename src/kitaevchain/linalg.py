@@ -72,8 +72,9 @@ def iterative_ground_pair(
     Convergence is declared only after an explicit residual check
     ||A v - theta v|| <= tol * max(1, |theta|).
 
-    Raises ConvergenceError carrying the best residual if the iteration cap
-    is reached first.
+    Raises ConvergenceError carrying the best residual and the steps run if
+    the iteration cap is reached first, or if a Krylov breakdown leaves no
+    fresh direction to restart from.
     """
     if dim < 2:
         raise ParameterError("iterative solver needs dimension >= 2")
@@ -92,6 +93,7 @@ def iterative_ground_pair(
     betas: list[float] = []
     best_residual = np.inf
     check_every = 5
+    steps = max_iter
 
     for it in range(max_iter):
         if it > 0:
@@ -132,12 +134,13 @@ def iterative_ground_pair(
                     beta = float(np.linalg.norm(w))
                     t_beta = 0.0
                     if beta <= 1e-14:
+                        steps = it + 1
                         break
         betas.append(t_beta)
         basis.append(w / beta)
 
     raise ConvergenceError(
-        f"Lanczos did not converge in {max_iter} iterations",
+        f"Lanczos did not converge in {steps} iterations",
         best_residual=None if best_residual is np.inf else best_residual,
-        iterations=max_iter,
+        iterations=steps,
     )

@@ -17,20 +17,21 @@ majorana_occupations, one symmetric eigensolve per block:
 - the paper's construction (real_space_gamma, block_coupling,
   pair_correlations) writes the ground state as exp(Z) on the fermion
   vacuum, Z = sum_{l<m} z_{lm} c+_l c+_m, through the momentum pair
-  amplitudes and their Fourier coefficients beta_n(x), laid out as two
+  amplitudes and their Fourier coefficients beta_n(x), as the two
   Toeplitz rows of the N x N site-pair matrix gamma.  Z = gamma - gamma^T
   couples the sublattices through one Hankel, hence symmetric, N/2 x N/2
-  block S.  One eigensolve of S, cached on the gamma, gives every block of
-  G D as Gram products of the block's rows of the eigenvectors; the full C
-  and F are the split of the block at L = N.  It costs one (N/2)^3
-  eigensolve plus O(N L^2) per block and is the independent reference: it
-  shares only the dispersion, the rescaling and the momentum grid of model
-  with the momentum route.
+  block S, whose N - 1 distinct entries are differences of those rows.
+  One eigensolve of S, cached on the gamma, gives every block of G D as
+  Gram products of the block's rows of the eigenvectors; the full C and F
+  are the split of the block at L = N.  The N x N gamma itself is laid out
+  only if it is read.  It costs one (N/2)^3 eigensolve plus O(N L^2) per
+  block and is the independent reference: it shares only the dispersion,
+  the rescaling and the momentum grid of model with the momentum route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,7 +68,6 @@ def pair_amplitudes(p: ChainParams, q):
     return eps1 / den, eps2 / den
 
 
-@dataclass
 class PairingMatrix:
     """Site-pair coefficients gamma_{l,m} of the ground-state exponent.
 
@@ -76,12 +76,37 @@ class PairingMatrix:
     The eigenpairs of its Hankel block and the correlation matrices derived
     from gamma are cached on the instance because every block size reuses
     them.
+
+    A hand-built PairingMatrix(n_sites, gamma) holds the N x N array, which
+    _cayley_eigenpairs checks before it is used.  real_space_gamma instead
+    passes the two Toeplitz rows gamma is laid out from, over the 2N - 1
+    separations; the eigensolve reads the Hankel block straight off them,
+    and the gamma property lays out the N x N array only on its first read.
     """
 
-    n_sites: int
-    gamma: np.ndarray
-    _correlations: tuple | None = field(default=None, repr=False, compare=False)
-    _eigenpairs: tuple | None = field(default=None, repr=False, compare=False)
+    def __init__(self, n_sites: int, gamma: np.ndarray | None = None, *,
+                 rows: tuple[np.ndarray, np.ndarray] | None = None):
+        if (gamma is None) == (rows is None):
+            raise ParameterError("a PairingMatrix takes either gamma or its two Toeplitz rows")
+        self.n_sites = n_sites
+        self._gamma = gamma
+        self._rows = rows
+        self._correlations: tuple | None = None
+        self._eigenpairs: tuple | None = None
+
+    @property
+    def gamma(self) -> np.ndarray:
+        if self._gamma is None:
+            n = self.n_sites
+            # Window k, reversed, is row k of the Toeplitz matrix: entry j
+            # holds separation k - j.  0-based even rows are the 1-based odd
+            # sites l of real_space_gamma's formula.
+            from_even, from_odd = (sliding_window_view(row, n) for row in self._rows)
+            gamma = np.zeros((n, n))
+            gamma[0::2, 1::2] = from_even[0::2, -2::-2]
+            gamma[1::2, 0::2] = from_odd[1::2, ::-2]
+            self._gamma = gamma
+        return self._gamma
 
 
 def _beta_tables(p: ChainParams) -> tuple[np.ndarray, np.ndarray]:
@@ -116,20 +141,15 @@ def real_space_gamma(p: ChainParams) -> PairingMatrix:
 
     For odd l and even m both prefactors are -2; for even l and odd m they
     are +2 and -2.  So each parity of l reads one row, -2 (Re beta_1 +
-    Im beta_2) or 2 (Re beta_1 - Im beta_2), as a Toeplitz matrix in l - m:
-    a reversed sliding window over the row's 2N - 1 separations.  Only its
-    opposite-parity entries are written, into an N x N array of zeros.
+    Im beta_2) or 2 (Re beta_1 - Im beta_2), as a Toeplitz matrix in l - m
+    over the row's 2N - 1 separations.  The returned PairingMatrix carries
+    those two rows: the reference route reads its Hankel block from them,
+    and the N x N gamma, with only its opposite-parity entries written, is
+    laid out from them when it is first read.
     """
-    n = p.n_sites
     b1, b2 = _beta_tables(p)
-    # Window k, reversed, is row k of the Toeplitz matrix: entry j holds
-    # separation k - j.  0-based even rows are the odd sites l above.
-    from_even = sliding_window_view(-2.0 * (b1.real + b2.imag), n)
-    from_odd = sliding_window_view(2.0 * (b1.real - b2.imag), n)
-    gamma = np.zeros((n, n))
-    gamma[0::2, 1::2] = from_even[0::2, -2::-2]
-    gamma[1::2, 0::2] = from_odd[1::2, ::-2]
-    return PairingMatrix(n_sites=n, gamma=gamma)
+    rows = (-2.0 * (b1.real + b2.imag), 2.0 * (b1.real - b2.imag))
+    return PairingMatrix(n_sites=p.n_sites, rows=rows)
 
 
 def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -163,24 +183,33 @@ def _cayley_eigenpairs(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
     Z couples the even sites (0-based) only to the odd ones, through the
     n x n block Y = gamma_eo - gamma_oe^T, n = N/2.  Y is Toeplitz in the
     cell separation, so with R reversing the odd sites S = Y R is Hankel
-    and exactly symmetric.  The function checks the three facts the
-    reference route rests on: gamma is real, its same-sublattice blocks are
-    symmetric, so they drop out of Z, and S is exactly symmetric.  Then it
-    runs the route's one factorization, S = V diag(lambda) V^T, and caches
-    the pair on g, so every block size and pair_correlations share it.
+    and exactly symmetric: S[i, j] = h[i + j].  On a gamma from
+    real_space_gamma, h is gathered from its two Toeplitz rows,
+    h[k] = from_even[2k] - from_odd[2N - 2 - 2k], the same subtractions the
+    N x N layout would give, and no N x N array is formed.  A hand-built
+    gamma is checked first for the three facts the reference route rests
+    on, which the rows guarantee by construction: gamma is real, its
+    same-sublattice blocks are symmetric, so they drop out of Z, and S is
+    exactly symmetric.  Then the route's one factorization,
+    S = V diag(lambda) V^T, runs and the pair is cached on g, so every
+    block size and pair_correlations share it.
     """
     if g._eigenpairs is not None:
         return g._eigenpairs
-    gamma = g.gamma
-    if np.iscomplexobj(gamma):
-        raise ParameterError(f"pairing matrix must be real, got dtype {gamma.dtype}")
-    for sub in (0, 1):
-        if not np.array_equal(gamma[sub::2, sub::2], gamma[sub::2, sub::2].T):
-            raise ParameterError("pairing matrix must couple even sites only to odd sites")
-    hankel = gamma[0::2, -1::-2] - gamma[-1::-2, 0::2].T
-    if not np.array_equal(hankel, hankel.T):
-        raise ParameterError("the even-odd block of gamma - gamma^T, odd sites reversed, "
-                             "must be symmetric")
+    if g._rows is not None:
+        from_even, from_odd = g._rows
+        hankel = sliding_window_view(from_even[:-1:2] - from_odd[:1:-2], g.n_sites // 2)
+    else:
+        gamma = g.gamma
+        if np.iscomplexobj(gamma):
+            raise ParameterError(f"pairing matrix must be real, got dtype {gamma.dtype}")
+        for sub in (0, 1):
+            if not np.array_equal(gamma[sub::2, sub::2], gamma[sub::2, sub::2].T):
+                raise ParameterError("pairing matrix must couple even sites only to odd sites")
+        hankel = gamma[0::2, -1::-2] - gamma[-1::-2, 0::2].T
+        if not np.array_equal(hankel, hankel.T):
+            raise ParameterError("the even-odd block of gamma - gamma^T, odd sites reversed, "
+                                 "must be symmetric")
     g._eigenpairs = np.linalg.eigh(hankel)
     return g._eigenpairs
 
@@ -328,8 +357,8 @@ def block_coupling(g: PairingMatrix, block_len: int) -> BlockCoupling:
 
     The reference route: the block of G D is laid out from the cached
     eigenpairs of gamma's N/2 x N/2 Hankel block (see _reference_block) and
-    goes through majorana_occupations.  No N x N array besides gamma is
-    formed.
+    goes through majorana_occupations.  On a gamma from real_space_gamma no
+    N x N array is formed.
     """
     _check_block_len(g.n_sites, block_len)
     return BlockCoupling(majorana_occupations(_reference_block(g, block_len)), g.n_sites)

@@ -404,13 +404,13 @@ def test_closed_pipe_is_usage_error(top_k, header, tmp_path):
     args = ["spectrum", "--n-sites", "40", "--h-field", "0.1", "--block-size", "20",
             "--top-k", str(top_k)]
     env = {k: v for k, v in _env().items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen([sys.executable, "-m", "kitaevchain", *args], env=env, cwd=tmp_path,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    if header:
-        assert proc.stdout.readline() == b"rank,lambda_value,cumulative_weight\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 2
+    with subprocess.Popen([sys.executable, "-m", "kitaevchain", *args], env=env, cwd=tmp_path,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        if header:
+            assert proc.stdout.readline() == b"rank,lambda_value,cumulative_weight\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
     assert err.startswith("error: [Errno 32] Broken pipe")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err and "Exception ignored" not in err

@@ -135,6 +135,24 @@ def test_ground_pair_iteration_cap():
     assert exc.value.iterations == 3
 
 
+def test_ground_pair_breakdown_reports_steps_run():
+    # The Krylov space fills all 40 dimensions, the residual misses a 1e-14
+    # tolerance, and the restart vector is in the span: the solver stops
+    # after 40 steps and 41 operator calls, not at its 2000-step cap.
+    a = np.diag(np.arange(40.0))
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return a @ v
+
+    with pytest.raises(ConvergenceError, match="did not converge in 40 iterations") as exc:
+        linalg.iterative_ground_pair(apply, 40, tol=1e-14, seed=3)
+    assert exc.value.iterations == 40
+    assert len(calls) == 41
+    assert exc.value.best_residual < 1e-13
+
+
 def test_ground_pair_rejects_trivial_dimension():
     with pytest.raises(ParameterError, match="dimension >= 2"):
         linalg.iterative_ground_pair(lambda v: v, 1)

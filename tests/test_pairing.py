@@ -366,6 +366,13 @@ def test_complex_gamma_rejected():
         pair_correlations(PairingMatrix(n_sites=8, gamma=g.gamma.astype(complex)))
 
 
+def test_pairing_matrix_takes_gamma_or_rows():
+    g = real_space_gamma(ChainParams(8, 1.0, 0.8, 0.5))
+    for kwargs in ({}, {"gamma": g.gamma, "rows": g._rows}):
+        with pytest.raises(ParameterError, match="either gamma or its two Toeplitz rows"):
+            PairingMatrix(8, **kwargs)
+
+
 def _bad_pairings():
     # The three gammas the tests above refuse, with the refusal's text.
     gamma = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5)).gamma
@@ -405,18 +412,47 @@ def test_one_eigensolve_per_gamma(monkeypatch):
 
 
 def test_reference_block_path_forms_no_n_by_n_array():
-    # A block of L sites needs L x L and N/2 x N/2 arrays only: the traced
-    # peak (numpy's array buffers; LAPACK's workspace is not traced) stays
-    # below one N x N float64 array.
+    # From the beta tables to the kept occupations, a block of L sites needs
+    # O(N) rows and L x L and N/2 x N/2 arrays only: the traced peak (numpy's
+    # array buffers; LAPACK's workspace is not traced) stays below one N x N
+    # float64 array, which gamma alone would fill.
     n = 2000
-    g = real_space_gamma(ChainParams(n, 1.0, 0.8, 0.3))
     tracemalloc.start()
     try:
-        block_coupling(g, n // 2)
+        g = real_space_gamma(ChainParams(n, 1.0, 0.8, 0.3))
+        schmidt_numbers(block_coupling(g, n // 2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8, peak / 2**20
+
+
+GAMMA_GRID = [(n, j_y, h) for n in (12, 40, 400)
+              for j_y, h in [(1.0, 0.5), (0.8, 0.5), (1.3, -0.7), (1.0, -3.0), (0.5, 2.0)]]
+
+
+@pytest.mark.parametrize("n,j_y,h", GAMMA_GRID)
+def test_rows_route_matches_checked_gamma_path(n, j_y, h):
+    # The Hankel entries gathered from gamma's two Toeplitz rows are the
+    # same floats as those read off the laid-out N x N gamma, so the one
+    # eigensolve gives the same eigenpairs, bit for bit.
+    g = real_space_gamma(ChainParams(n, 1.0, j_y, h))
+    lam, v = pairing._cayley_eigenpairs(g)
+    lam_ref, v_ref = pairing._cayley_eigenpairs(PairingMatrix(n, g.gamma))
+    assert np.array_equal(lam, lam_ref)
+    assert np.array_equal(v, v_ref)
+
+
+def test_gamma_laid_out_once_on_read(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("reading gamma ran an eigensolve")
+
+    p = ChainParams(40, 1.0, 1.3, -0.7)
+    g = real_space_gamma(p)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    gamma = g.gamma
+    assert g.gamma is gamma
+    assert np.array_equal(gamma, _index_array_gamma(p))
 
 
 def test_momentum_occupations_match_reference_route():
