@@ -14,7 +14,8 @@ block_spectra and block_entropy_curve run the momentum route: one table of G
 per chain, one largest block, one symmetric eigensolve per block size.  Both
 routes hand their occupations to schmidt_numbers, which keeps the ones that
 can be entangled; block_entropy, entanglement_spectrum and enumerate_spectrum
-take that occupation array as it is.
+take that occupation array as it is, and refuse NaN or any entry outside
+[0, 1].
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterError, SizeError
-from .model import ChainParams
+from .model import ChainParams, _index
 from .pairing import (
     BlockCoupling,
     _check_block_len,
@@ -70,13 +71,22 @@ def schmidt_numbers(c: BlockCoupling) -> np.ndarray:
     return nu
 
 
+def _checked_occupations(nu) -> np.ndarray:
+    """nu as an array, once every entry lies in [0, 1]; NaN raises ParameterError too."""
+    nu = np.asarray(nu)
+    inside = (nu >= 0.0) & (nu <= 1.0)
+    if not inside.all():
+        raise ParameterError(f"occupations must lie in [0, 1], got {nu[~inside]}")
+    return nu
+
+
 def block_entropy(nu: np.ndarray) -> float:
     """E = sum_n H(nu_n) in bits, from occupations; zero modes contribute exactly 0.
 
     Each term is negated before the sum, so a block with no entangled mode
     sums nothing to +0.0 rather than negating an empty sum to -0.0.
     """
-    nu = np.clip(nu, 0.0, 1.0)
+    nu = _checked_occupations(nu)
     nu = nu[(nu > 0.0) & (nu < 1.0)]
     return float((-nu * np.log2(nu) - (1 - nu) * np.log2(1 - nu)).sum())
 
@@ -91,8 +101,10 @@ def entanglement_spectrum(nu: np.ndarray, count: int) -> EntanglementSpectrum:
     each subset of flips once.  Eigenvalues that are exactly zero (from modes
     with nu = 0) are never emitted, so fewer than count values can return.
     """
+    count = _index("count", count)
     if count < 1:
         raise ParameterError(f"count must be positive, got {count}")
+    nu = _checked_occupations(nu)
     bigger, smaller = np.maximum(1.0 - nu, nu), np.minimum(1.0 - nu, nu)
     top = float(np.prod(bigger))
     if top == 0.0:
@@ -126,6 +138,7 @@ def enumerate_spectrum(nu: np.ndarray) -> np.ndarray:
     """
     if len(nu) > ENUMERATION_LIMIT:
         raise SizeError(f"enumeration limited to {ENUMERATION_LIMIT} modes")
+    nu = _checked_occupations(nu)
     lam = np.ones(1)
     for mode in nu:
         lam = np.concatenate([lam * (1.0 - mode), lam * mode])

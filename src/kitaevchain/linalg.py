@@ -21,6 +21,12 @@ from .exceptions import ConvergenceError, ParameterError
 
 HERMITICITY_TOL = 1e-12
 
+# The one Lanczos setting the oracle runs: converged to a relative residual
+# of 1e-14 from a start vector of seed 0, within 2000 steps.
+LANCZOS_TOL = 1e-14
+LANCZOS_SEED = 0
+LANCZOS_MAX_STEPS = 2000
+
 
 def symmetric_eigen(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, for the oracle's dense steps.
@@ -57,28 +63,24 @@ class _GrowingBasis:
 
 
 def iterative_ground_pair(
-    apply: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    tol: float = 1e-10,
-    seed: int = 0,
-    max_iter: int = 2000,
+    apply: Callable[[np.ndarray], np.ndarray], dim: int
 ) -> tuple[float, np.ndarray]:
     """Minimum eigenpair of a Hermitian operator given only its action.
 
     Lanczos with full reorthogonalization: each new direction is projected
     against every stored basis vector, twice, so orthogonality holds at
     machine level regardless of eigenvalue clustering.  The start vector
-    comes from a seeded generator, which makes oracle runs reproducible.
-    Convergence is declared only after an explicit residual check
-    ||A v - theta v|| <= tol * max(1, |theta|).
+    comes from a generator seeded with LANCZOS_SEED, which makes oracle runs
+    reproducible.  Convergence is declared only after an explicit residual
+    check ||A v - theta v|| <= LANCZOS_TOL * max(1, |theta|).
 
     Raises ConvergenceError carrying the best residual and the steps run if
-    the iteration cap is reached first, or if a Krylov breakdown leaves no
+    LANCZOS_MAX_STEPS steps run first, or if a Krylov breakdown leaves no
     fresh direction to restart from.
     """
     if dim < 2:
         raise ParameterError("iterative solver needs dimension >= 2")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LANCZOS_SEED)
     start = rng.standard_normal(dim)
     start /= np.linalg.norm(start)
 
@@ -93,9 +95,9 @@ def iterative_ground_pair(
     betas: list[float] = []
     best_residual = np.inf
     check_every = 5
-    steps = max_iter
+    steps = LANCZOS_MAX_STEPS
 
-    for it in range(max_iter):
+    for it in range(LANCZOS_MAX_STEPS):
         if it > 0:
             w = np.asarray(apply(basis.rows()[-1]))
         alphas.append(float(np.real(np.vdot(basis.rows()[-1], w))))
@@ -109,19 +111,19 @@ def iterative_ground_pair(
         breakdown = beta <= 1e-14
         t_beta = beta  # coupling entry recorded in the tridiagonal projection
 
-        if breakdown or (it + 1) % check_every == 0 or it + 1 == max_iter:
+        if breakdown or (it + 1) % check_every == 0 or it + 1 == LANCZOS_MAX_STEPS:
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             tw, tv = np.linalg.eigh(t)
             theta = float(tw[0])
             s = tv[:, 0]
             # The cheap bound beta*|s_k| controls the true residual; confirm
             # explicitly before returning so roundoff cannot fake convergence.
-            if breakdown or beta * abs(s[-1]) <= tol * max(1.0, abs(theta)):
+            if breakdown or beta * abs(s[-1]) <= LANCZOS_TOL * max(1.0, abs(theta)):
                 x = s @ basis.rows()
                 x = x / np.linalg.norm(x)
                 residual = float(np.linalg.norm(np.asarray(apply(x)) - theta * x))
                 best_residual = min(best_residual, residual)
-                if residual <= tol * max(1.0, abs(theta)):
+                if residual <= LANCZOS_TOL * max(1.0, abs(theta)):
                     return theta, x
                 if breakdown:
                     # Krylov space closed on an invariant subspace that missed

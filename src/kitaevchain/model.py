@@ -11,6 +11,7 @@ uncoupled four-momentum groups labelled by q in (0, pi/2).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 
@@ -50,8 +51,11 @@ class ChainParams:
     def __post_init__(self):
         _check_sites(self.n_sites)
         for name in ("j_x", "j_y", "h_field"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def momentum_grid(n_sites: int) -> tuple[np.ndarray, np.ndarray]:

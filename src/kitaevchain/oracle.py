@@ -20,11 +20,13 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import linalg
 from .exceptions import KitaevChainError, ParameterError, SizeError
-from .model import ChainParams
+from .model import ChainParams, _index
 
 MAX_ORACLE_SITES = 16
 MAX_DENSE_SITES = 10
 MAX_BLOCK_SITES = 14
+# Eigenvalues this close to the minimum count as ground states.
+DEGENERACY_TOL = 1e-8
 
 
 @lru_cache(maxsize=8)
@@ -78,12 +80,12 @@ def apply_hamiltonian(p: ChainParams, v: np.ndarray) -> np.ndarray:
 def ed_ground(p: ChainParams):
     """Ground energy and normalized ground state by Lanczos iteration.
 
-    Converged to a relative residual of 1e-14 from a start vector of seed 0.
-    Intended for h != 0 where the ground state is unique; at h = 0 it
-    returns one member of the degenerate manifold, fixed by that seed.
+    Converged to a relative residual of linalg.LANCZOS_TOL = 1e-14 from a
+    start vector of seed linalg.LANCZOS_SEED = 0.  Intended for h != 0 where
+    the ground state is unique; at h = 0 it returns one member of the
+    degenerate manifold, fixed by that seed.
     """
-    dim = 1 << p.n_sites
-    return linalg.iterative_ground_pair(lambda v: apply_hamiltonian(p, v), dim, tol=1e-14, seed=0)
+    return linalg.iterative_ground_pair(lambda v: apply_hamiltonian(p, v), 1 << p.n_sites)
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,8 @@ class DegeneracyCount:
     odd_sector: int
 
 
-def full_spectrum_degeneracy(p: ChainParams, tol: float = 1e-8) -> DegeneracyCount:
-    """Count eigenvalues within tol of the global minimum, per parity sector.
+def full_spectrum_degeneracy(p: ChainParams) -> DegeneracyCount:
+    """Count eigenvalues within DEGENERACY_TOL of the global minimum, per parity sector.
 
     The Hamiltonian conserves the parity of the number of up spins, so each
     sector is diagonalized on its own; degenerate eigenvectors of the full
@@ -117,8 +119,8 @@ def full_spectrum_degeneracy(p: ChainParams, tol: float = 1e-8) -> DegeneracyCou
     w_even = linalg.symmetric_eigen(h[np.ix_(even, even)])
     w_odd = linalg.symmetric_eigen(h[np.ix_(odd, odd)])
     gmin = min(w_even[0], w_odd[0])
-    n_even = int(np.count_nonzero(w_even <= gmin + tol))
-    n_odd = int(np.count_nonzero(w_odd <= gmin + tol))
+    n_even = int(np.count_nonzero(w_even <= gmin + DEGENERACY_TOL))
+    n_odd = int(np.count_nonzero(w_odd <= gmin + DEGENERACY_TOL))
     return DegeneracyCount(total=n_even + n_odd, even_sector=n_even, odd_sector=n_odd)
 
 
@@ -129,6 +131,7 @@ def reduced_density(state: np.ndarray, block_len: int) -> np.ndarray:
     n = dim.bit_length() - 1
     if dim == 0 or (1 << n) != dim:
         raise ParameterError(f"state length {dim} is not a power of two")
+    block_len = _index("block_len", block_len)
     if not 1 <= block_len <= n - 1:
         raise ParameterError(f"block_len must lie in [1, {n - 1}], got {block_len}")
     if block_len > MAX_BLOCK_SITES:
@@ -168,17 +171,21 @@ def compare_entropies(p: ChainParams, block_lens) -> EntropyComparison:
 
     At h = 0 the ground manifold is degenerate and the pipeline defines its
     output as the h -> 0+ limit state, so the rows there are recorded and
-    the report flags them (passed is None) rather than failing them.
+    the report flags them (passed is None) rather than failing them.  An
+    empty block_lens raises ParameterError before the Lanczos solve, as
+    zero rows would pass.
     """
     if p.n_sites > MAX_BLOCK_SITES:
         raise SizeError(f"comparison limited to N <= {MAX_BLOCK_SITES}, got {p.n_sites}")
     curve = entropy_mod.block_entropy_curve(p, block_lens)
+    if not curve:
+        raise ParameterError("compare_entropies needs at least one block length")
     _, state = ed_ground(p)
     rows = []
     for length, e_fast in curve:
         e_oracle = vn_entropy(reduced_density(state, length))
         rows.append((length, e_fast, e_oracle, abs(e_fast - e_oracle)))
-    max_diff = max(diff for *_rest, diff in rows) if rows else 0.0
+    max_diff = max(diff for *_rest, diff in rows)
     return EntropyComparison(
         rows=rows,
         max_abs_diff=max_diff,

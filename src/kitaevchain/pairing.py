@@ -18,7 +18,8 @@ majorana_occupations, one symmetric eigensolve per block:
   pair_correlations) writes the ground state as exp(Z) on the fermion
   vacuum, Z = sum_{l<m} z_{lm} c+_l c+_m, through the momentum pair
   amplitudes and their Fourier coefficients beta_n(x), as the two
-  Toeplitz rows of the N x N site-pair matrix gamma.  Z = gamma - gamma^T
+  Toeplitz rows of the N x N site-pair matrix gamma; a PairingMatrix
+  is built from those rows alone.  Z = gamma - gamma^T
   couples the sublattices through one Hankel, hence symmetric, N/2 x N/2
   block S, whose N - 1 distinct entries are differences of those rows.
   One eigensolve of S, cached on the gamma, gives every block of G D as
@@ -32,6 +33,7 @@ majorana_occupations, one symmetric eigensolve per block:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,40 +75,30 @@ class PairingMatrix:
 
     Indices are 1-based in formulas and documentation; storage is 0-based.
     Only the antisymmetric part gamma - gamma^T enters any physical result.
-    The eigenpairs of its Hankel block and the correlation matrices derived
-    from gamma are cached on the instance because every block size reuses
-    them.
-
-    A hand-built PairingMatrix(n_sites, gamma) holds the N x N array, which
-    _cayley_eigenpairs checks before it is used.  real_space_gamma instead
-    passes the two Toeplitz rows gamma is laid out from, over the 2N - 1
-    separations; the eigensolve reads the Hankel block straight off them,
-    and the gamma property lays out the N x N array only on its first read.
+    The instance holds the two Toeplitz rows real_space_gamma lays gamma out
+    from, over the 2N - 1 separations: the eigensolve reads the Hankel block
+    straight off them, and the N x N gamma is laid out only on its first
+    read.  The eigenpairs of the Hankel block and the correlation matrices
+    are cached on the instance because every block size reuses them.
     """
 
-    def __init__(self, n_sites: int, gamma: np.ndarray | None = None, *,
-                 rows: tuple[np.ndarray, np.ndarray] | None = None):
-        if (gamma is None) == (rows is None):
-            raise ParameterError("a PairingMatrix takes either gamma or its two Toeplitz rows")
+    def __init__(self, n_sites: int, rows: tuple[np.ndarray, np.ndarray]):
         self.n_sites = n_sites
-        self._gamma = gamma
-        self._rows = rows
+        self.rows = rows
         self._correlations: tuple | None = None
         self._eigenpairs: tuple | None = None
 
-    @property
+    @cached_property
     def gamma(self) -> np.ndarray:
-        if self._gamma is None:
-            n = self.n_sites
-            # Window k, reversed, is row k of the Toeplitz matrix: entry j
-            # holds separation k - j.  0-based even rows are the 1-based odd
-            # sites l of real_space_gamma's formula.
-            from_even, from_odd = (sliding_window_view(row, n) for row in self._rows)
-            gamma = np.zeros((n, n))
-            gamma[0::2, 1::2] = from_even[0::2, -2::-2]
-            gamma[1::2, 0::2] = from_odd[1::2, ::-2]
-            self._gamma = gamma
-        return self._gamma
+        n = self.n_sites
+        # Window k, reversed, is row k of the Toeplitz matrix: entry j holds
+        # separation k - j.  0-based even rows are the 1-based odd sites l of
+        # real_space_gamma's formula.
+        from_even, from_odd = (sliding_window_view(row, n) for row in self.rows)
+        gamma = np.zeros((n, n))
+        gamma[0::2, 1::2] = from_even[0::2, -2::-2]
+        gamma[1::2, 0::2] = from_odd[1::2, ::-2]
+        return gamma
 
 
 def _beta_tables(p: ChainParams) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +141,7 @@ def real_space_gamma(p: ChainParams) -> PairingMatrix:
     """
     b1, b2 = _beta_tables(p)
     rows = (-2.0 * (b1.real + b2.imag), 2.0 * (b1.real - b2.imag))
-    return PairingMatrix(n_sites=p.n_sites, rows=rows)
+    return PairingMatrix(p.n_sites, rows)
 
 
 def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -183,34 +175,16 @@ def _cayley_eigenpairs(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
     Z couples the even sites (0-based) only to the odd ones, through the
     n x n block Y = gamma_eo - gamma_oe^T, n = N/2.  Y is Toeplitz in the
     cell separation, so with R reversing the odd sites S = Y R is Hankel
-    and exactly symmetric: S[i, j] = h[i + j].  On a gamma from
-    real_space_gamma, h is gathered from its two Toeplitz rows,
-    h[k] = from_even[2k] - from_odd[2N - 2 - 2k], the same subtractions the
-    N x N layout would give, and no N x N array is formed.  A hand-built
-    gamma is checked first for the three facts the reference route rests
-    on, which the rows guarantee by construction: gamma is real, its
-    same-sublattice blocks are symmetric, so they drop out of Z, and S is
-    exactly symmetric.  Then the route's one factorization,
-    S = V diag(lambda) V^T, runs and the pair is cached on g, so every
-    block size and pair_correlations share it.
+    and exactly symmetric: S[i, j] = h[i + j].  h is gathered from gamma's
+    two Toeplitz rows, h[k] = from_even[2k] - from_odd[2N - 2 - 2k], the
+    same subtractions the N x N layout would give, and no N x N array is
+    formed.  The route's one factorization, S = V diag(lambda) V^T, is
+    cached on g, so every block size and pair_correlations share it.
     """
-    if g._eigenpairs is not None:
-        return g._eigenpairs
-    if g._rows is not None:
-        from_even, from_odd = g._rows
+    if g._eigenpairs is None:
+        from_even, from_odd = g.rows
         hankel = sliding_window_view(from_even[:-1:2] - from_odd[:1:-2], g.n_sites // 2)
-    else:
-        gamma = g.gamma
-        if np.iscomplexobj(gamma):
-            raise ParameterError(f"pairing matrix must be real, got dtype {gamma.dtype}")
-        for sub in (0, 1):
-            if not np.array_equal(gamma[sub::2, sub::2], gamma[sub::2, sub::2].T):
-                raise ParameterError("pairing matrix must couple even sites only to odd sites")
-        hankel = gamma[0::2, -1::-2] - gamma[-1::-2, 0::2].T
-        if not np.array_equal(hankel, hankel.T):
-            raise ParameterError("the even-odd block of gamma - gamma^T, odd sites reversed, "
-                                 "must be symmetric")
-    g._eigenpairs = np.linalg.eigh(hankel)
+        g._eigenpairs = np.linalg.eigh(hankel)
     return g._eigenpairs
 
 
@@ -357,8 +331,7 @@ def block_coupling(g: PairingMatrix, block_len: int) -> BlockCoupling:
 
     The reference route: the block of G D is laid out from the cached
     eigenpairs of gamma's N/2 x N/2 Hankel block (see _reference_block) and
-    goes through majorana_occupations.  On a gamma from real_space_gamma no
-    N x N array is formed.
+    goes through majorana_occupations.  No N x N array is formed.
     """
     _check_block_len(g.n_sites, block_len)
     return BlockCoupling(majorana_occupations(_reference_block(g, block_len)), g.n_sites)

@@ -76,9 +76,7 @@ def test_criterion_3_degeneracy():
     detail = []
     for n in (4, 8):
         for ratio in (1.0, 0.8, 0.3):
-            counts = oracle.full_spectrum_degeneracy(
-                ChainParams(n, 1.0, ratio, 0.0), tol=1e-8
-            )
+            counts = oracle.full_spectrum_degeneracy(ChainParams(n, 1.0, ratio, 0.0))
             expected = ground_degeneracy(n)
             ok = ok and counts.even_sector == expected
             detail.append(f"N={n},r={ratio}:{counts.even_sector}/{expected}")

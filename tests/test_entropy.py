@@ -70,6 +70,22 @@ def test_spectrum_three_bell_modes():
 def test_spectrum_count_validated():
     with pytest.raises(ParameterError):
         entanglement_spectrum(spectrum_of([0.5]), 0)
+    for bad in (2.5, 2.0):
+        with pytest.raises(ParameterError, match="count must be an integer"):
+            entanglement_spectrum(spectrum_of([0.5]), bad)
+    assert len(entanglement_spectrum(spectrum_of([0.5]), np.int64(2)).lambdas) == 2
+
+
+@pytest.mark.parametrize("reduce", [
+    block_entropy,
+    lambda nu: entanglement_spectrum(nu, 4),
+    enumerate_spectrum,
+], ids=["block_entropy", "entanglement_spectrum", "enumerate_spectrum"])
+def test_occupations_outside_unit_interval_rejected(reduce):
+    # A NaN or an occupation outside [0, 1] is an error, not a frozen mode.
+    for bad in (np.nan, 1.5, -0.1):
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 1\]"):
+            reduce([bad, 0.3])
 
 
 def test_spectrum_monotone_prefix():

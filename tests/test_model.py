@@ -25,7 +25,8 @@ def test_params_require_multiple_of_four_sites():
 
 
 @pytest.mark.parametrize("field", ["j_x", "j_y", "h_field"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 "1", 1j, np.complex128(1.0), None])
 def test_params_reject_non_finite_couplings(field, bad):
     with pytest.raises(ParameterError, match=field):
         ChainParams(8, **{field: bad})

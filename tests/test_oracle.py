@@ -166,6 +166,15 @@ def test_reduced_density_rejects_non_power_of_two():
             oracle.reduced_density(bad, 1)
 
 
+def test_reduced_density_rejects_fractional_block_len():
+    state = basis_state(4, 0)
+    for bad in (2.5, 2.0):
+        with pytest.raises(ParameterError, match="block_len must be an integer"):
+            oracle.reduced_density(state, bad)
+    assert np.array_equal(oracle.reduced_density(state, np.int64(2)),
+                          oracle.reduced_density(state, 2))
+
+
 def test_pure_state_entropy_symmetric_in_cut():
     # Both halves of one cut always agree; comparing blocks 1..L with
     # 1..(N-L) additionally needs the state's translation structure, so
@@ -247,6 +256,17 @@ def test_compare_entropies_rejects_fractional_lengths():
     rows = oracle.compare_entropies(p, np.arange(2, 4)).rows
     assert [row[0] for row in rows] == [2, 3]
     assert all(type(row[0]) is int for row in rows)
+
+
+def test_compare_entropies_rejects_empty_lengths(monkeypatch):
+    # Zero rows would report passed=True; the refusal comes before the
+    # Lanczos solve.
+    def refused(p):
+        raise AssertionError("ran ed_ground")
+
+    monkeypatch.setattr(oracle, "ed_ground", refused)
+    with pytest.raises(ParameterError, match="at least one block length"):
+        oracle.compare_entropies(ChainParams(8, 1.0, 1.0, 0.5), [])
 
 
 def test_compare_entropies_size_gate():

@@ -13,7 +13,6 @@ from kitaevchain.entropy import (
 from kitaevchain.exceptions import ParameterError, SingularModeError
 from kitaevchain.model import ChainParams, momentum_grid
 from kitaevchain.pairing import (
-    PairingMatrix,
     block_coupling,
     majorana_block,
     majorana_occupations,
@@ -163,15 +162,6 @@ def test_coupling_block_length_validated():
             block_coupling(g, bad)
     assert np.array_equal(block_coupling(g, np.int64(3)).occupations,
                           block_coupling(g, 3).occupations)
-
-
-def test_coupling_depends_only_on_antisymmetric_part():
-    g = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5))
-    anti = PairingMatrix(n_sites=12, gamma=0.5 * (g.gamma - g.gamma.T))
-    for length in (1, 4, 6, 11):
-        a = block_coupling(g, length).occupations
-        b = block_coupling(anti, length).occupations
-        assert np.abs(a - b).max() < 1e-14
 
 
 def test_occupations_bounded_and_sorted():
@@ -346,53 +336,6 @@ def test_correlations_match_inverse_of_one_plus_z(j_y, h):
     assert np.abs(f - 0.5 * (w - w.T)).max() <= 1e-13
 
 
-def test_gamma_off_the_sublattice_form_rejected():
-    gamma = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5)).gamma
-    same = gamma.copy()
-    same[0, 2] = 0.1
-    with pytest.raises(ParameterError, match="only to odd"):
-        pair_correlations(PairingMatrix(n_sites=12, gamma=same))
-    # Still bipartite, but no longer Toeplitz in the cell separation, so
-    # the block S of Z is not symmetric.
-    skewed = gamma.copy()
-    skewed[0, 1] += 1e-3
-    with pytest.raises(ParameterError, match="must be symmetric"):
-        pair_correlations(PairingMatrix(n_sites=12, gamma=skewed))
-
-
-def test_complex_gamma_rejected():
-    g = real_space_gamma(ChainParams(8, 1.0, 0.8, 0.5))
-    with pytest.raises(ParameterError, match="must be real"):
-        pair_correlations(PairingMatrix(n_sites=8, gamma=g.gamma.astype(complex)))
-
-
-def test_pairing_matrix_takes_gamma_or_rows():
-    g = real_space_gamma(ChainParams(8, 1.0, 0.8, 0.5))
-    for kwargs in ({}, {"gamma": g.gamma, "rows": g._rows}):
-        with pytest.raises(ParameterError, match="either gamma or its two Toeplitz rows"):
-            PairingMatrix(8, **kwargs)
-
-
-def _bad_pairings():
-    # The three gammas the tests above refuse, with the refusal's text.
-    gamma = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5)).gamma
-    same, skewed = gamma.copy(), gamma.copy()
-    same[0, 2] = 0.1
-    skewed[0, 1] += 1e-3
-    return [(same, "only to odd"), (skewed, "must be symmetric"),
-            (gamma.astype(complex), "must be real")]
-
-
-@pytest.mark.parametrize("entry", [
-    pair_correlations,
-    lambda g: block_coupling(g, 5),
-], ids=["pair_correlations", "block_coupling"])
-def test_every_reference_entry_point_checks_gamma(entry):
-    for gamma, match in _bad_pairings():
-        with pytest.raises(ParameterError, match=match):
-            entry(PairingMatrix(n_sites=12, gamma=gamma))
-
-
 def test_one_eigensolve_per_gamma(monkeypatch):
     # Every block size and the full C and F share one eigensolve of S.
     shapes = []
@@ -435,10 +378,16 @@ GAMMA_GRID = [(n, j_y, h) for n in (12, 40, 400)
 def test_rows_route_matches_checked_gamma_path(n, j_y, h):
     # The Hankel entries gathered from gamma's two Toeplitz rows are the
     # same floats as those read off the laid-out N x N gamma, so the one
-    # eigensolve gives the same eigenpairs, bit for bit.
+    # eigensolve gives the same eigenpairs, bit for bit.  On the laid-out
+    # gamma, the same-sublattice blocks are zero, so they drop out of Z,
+    # and the even-odd block of Z, odd sites reversed, is exactly symmetric.
     g = real_space_gamma(ChainParams(n, 1.0, j_y, h))
     lam, v = pairing._cayley_eigenpairs(g)
-    lam_ref, v_ref = pairing._cayley_eigenpairs(PairingMatrix(n, g.gamma))
+    gamma = g.gamma
+    assert not gamma[0::2, 0::2].any() and not gamma[1::2, 1::2].any()
+    hankel = gamma[0::2, -1::-2] - gamma[-1::-2, 0::2].T
+    assert np.array_equal(hankel, hankel.T)
+    lam_ref, v_ref = np.linalg.eigh(hankel)
     assert np.array_equal(lam, lam_ref)
     assert np.array_equal(v, v_ref)
 
