@@ -2,13 +2,12 @@
 
 The oracle is the only user of this module; the entropy pipeline reduces
 its symmetric blocks with numpy's eigvalsh directly (see
-pairing.majorana_occupations).
-Dense symmetric/Hermitian eigensolves of sector Hamiltonians and reduced
-density matrices delegate to numpy's LAPACK bindings.  The iterative
-extreme-eigenpair solver is written here directly because the oracle needs
-a matrix-free Lanczos with reproducible behaviour, which is not something
-numpy provides.  A wrong shape or a non-Hermitian matrix raises
-ParameterError.
+pairing.majorana_occupations).  Dense eigensolves of sector Hamiltonians
+and reduced density matrices delegate to numpy's LAPACK bindings.  The
+ground state of the real symmetric oracle Hamiltonian comes from a
+matrix-free Lanczos written here, because the oracle needs reproducible
+behaviour that numpy does not provide.  A wrong shape, a non-Hermitian
+matrix or an operator output that is not real raises ParameterError.
 """
 
 from __future__ import annotations
@@ -43,106 +42,79 @@ def symmetric_eigen(m) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-class _GrowingBasis:
-    """Row-wise storage for Lanczos vectors, grown geometrically on demand."""
-
-    def __init__(self, dim: int, dtype):
-        self._data = np.zeros((64, dim), dtype=dtype)
-        self.count = 0
-
-    def append(self, v: np.ndarray) -> None:
-        if self.count == self._data.shape[0]:
-            grown = np.zeros((2 * self._data.shape[0], self._data.shape[1]), dtype=self._data.dtype)
-            grown[: self.count] = self._data
-            self._data = grown
-        self._data[self.count] = v
-        self.count += 1
-
-    def rows(self) -> np.ndarray:
-        return self._data[: self.count]
-
-
 def iterative_ground_pair(
     apply: Callable[[np.ndarray], np.ndarray], dim: int
 ) -> tuple[float, np.ndarray]:
-    """Minimum eigenpair of a Hermitian operator given only its action.
+    """Minimum eigenpair of a real symmetric operator given only its action.
 
     Lanczos with full reorthogonalization: each new direction is projected
     against every stored basis vector, twice, so orthogonality holds at
     machine level regardless of eigenvalue clustering.  The start vector
     comes from a generator seeded with LANCZOS_SEED, which makes oracle runs
-    reproducible.  Convergence is declared only after an explicit residual
-    check ||A v - theta v|| <= LANCZOS_TOL * max(1, |theta|).
+    reproducible.  Being random, it overlaps every eigenvector, so a Krylov
+    space that stops growing already holds the ground state: there is no
+    restart.  Convergence is declared only after an explicit residual check
+    ||A v - theta v|| <= LANCZOS_TOL * max(1, |theta|).
 
-    Raises ConvergenceError carrying the best residual and the steps run if
-    LANCZOS_MAX_STEPS steps run first, or if a Krylov breakdown leaves no
-    fresh direction to restart from.
+    Raises ParameterError if an output of apply is misshapen or not real, and
+    ConvergenceError carrying the best residual and the steps run if
+    LANCZOS_MAX_STEPS steps run first, or if the Krylov space closes without
+    passing the residual check.
     """
     if dim < 2:
         raise ParameterError("iterative solver needs dimension >= 2")
-    rng = np.random.default_rng(LANCZOS_SEED)
-    start = rng.standard_normal(dim)
-    start /= np.linalg.norm(start)
 
-    w = np.asarray(apply(start))
-    if w.shape != (dim,):
-        raise ParameterError(f"operator returned shape {w.shape}, expected ({dim},)")
-    dtype = np.result_type(w.dtype, np.float64)
+    def op(v: np.ndarray) -> np.ndarray:
+        w = np.asarray(apply(v))
+        if w.shape != (dim,):
+            raise ParameterError(f"operator returned shape {w.shape}, expected ({dim},)")
+        if w.dtype.kind not in "iuf":
+            raise ParameterError(f"operator returned {w.dtype} values, expected real ones")
+        return w
 
-    basis = _GrowingBasis(dim, dtype)
-    basis.append(start.astype(dtype))
+    # Lanczos vectors are the rows of one buffer, doubled when it fills.
+    basis = np.zeros((64, dim))
+    basis[0] = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    basis[0] /= np.linalg.norm(basis[0])
     alphas: list[float] = []
     betas: list[float] = []
     best_residual = np.inf
-    check_every = 5
-    steps = LANCZOS_MAX_STEPS
 
     for it in range(LANCZOS_MAX_STEPS):
+        w = op(basis[it])
+        alphas.append(float(basis[it] @ w))
+        w = w - alphas[-1] * basis[it]
         if it > 0:
-            w = np.asarray(apply(basis.rows()[-1]))
-        alphas.append(float(np.real(np.vdot(basis.rows()[-1], w))))
-        w = w - alphas[-1] * basis.rows()[-1]
-        if it > 0:
-            w = w - betas[-1] * basis.rows()[-2]
-        rows = basis.rows()
+            w = w - betas[-1] * basis[it - 1]
+        rows = basis[: it + 1]
         for _ in range(2):
-            w = w - (rows.conj() @ w) @ rows
+            w = w - (rows @ w) @ rows
         beta = float(np.linalg.norm(w))
-        breakdown = beta <= 1e-14
-        t_beta = beta  # coupling entry recorded in the tridiagonal projection
+        closed = beta <= 1e-14  # the Krylov space is invariant under apply
 
-        if breakdown or (it + 1) % check_every == 0 or it + 1 == LANCZOS_MAX_STEPS:
+        if closed or (it + 1) % 5 == 0 or it + 1 == LANCZOS_MAX_STEPS:
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             tw, tv = np.linalg.eigh(t)
             theta = float(tw[0])
             s = tv[:, 0]
             # The cheap bound beta*|s_k| controls the true residual; confirm
             # explicitly before returning so roundoff cannot fake convergence.
-            if breakdown or beta * abs(s[-1]) <= LANCZOS_TOL * max(1.0, abs(theta)):
-                x = s @ basis.rows()
+            if closed or beta * abs(s[-1]) <= LANCZOS_TOL * max(1.0, abs(theta)):
+                x = s @ rows
                 x = x / np.linalg.norm(x)
-                residual = float(np.linalg.norm(np.asarray(apply(x)) - theta * x))
+                residual = float(np.linalg.norm(op(x) - theta * x))
                 best_residual = min(best_residual, residual)
                 if residual <= LANCZOS_TOL * max(1.0, abs(theta)):
                     return theta, x
-                if breakdown:
-                    # Krylov space closed on an invariant subspace that missed
-                    # the target; continue from fresh orthogonalized noise.
-                    # The restart vector has no coupling to the closed block,
-                    # so the recorded tridiagonal entry is exactly zero.
-                    w = rng.standard_normal(dim).astype(dtype)
-                    rows = basis.rows()
-                    w = w - (rows.conj() @ w) @ rows
-                    beta = float(np.linalg.norm(w))
-                    t_beta = 0.0
-                    if beta <= 1e-14:
-                        steps = it + 1
-                        break
-        betas.append(t_beta)
-        basis.append(w / beta)
+                if closed:
+                    break
+        if it + 1 == len(basis):
+            basis = np.concatenate([basis, np.zeros_like(basis)])
+        basis[it + 1] = w / beta
+        betas.append(beta)
 
     raise ConvergenceError(
-        f"Lanczos did not converge in {steps} iterations",
+        f"Lanczos did not converge in {it + 1} iterations",
         best_residual=None if best_residual is np.inf else best_residual,
-        iterations=steps,
+        iterations=it + 1,
     )

@@ -41,7 +41,7 @@ def _check_sites(n_sites: int) -> None:
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Chain size and couplings.  Couplings and field may be any finite reals."""
+    """Chain size and couplings.  Couplings and field: any finite reals, kept as floats."""
 
     n_sites: int
     j_x: float = 1.0
@@ -54,8 +54,15 @@ class ChainParams:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ParameterError(f"{name} must be a real number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ParameterError(
+                    f"{name} must be finite, got a magnitude past 1.8e308"
+                ) from None
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
 
 def momentum_grid(n_sites: int) -> tuple[np.ndarray, np.ndarray]:

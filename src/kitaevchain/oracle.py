@@ -23,7 +23,7 @@ from .exceptions import KitaevChainError, ParameterError, SizeError
 from .model import ChainParams, _index
 
 MAX_ORACLE_SITES = 16
-MAX_DENSE_SITES = 10
+MAX_DENSE_SITES = 8
 MAX_BLOCK_SITES = 14
 # Eigenvalues this close to the minimum count as ground states.
 DEGENERACY_TOL = 1e-8
@@ -175,8 +175,10 @@ def compare_entropies(p: ChainParams, block_lens) -> EntropyComparison:
     empty block_lens raises ParameterError before the Lanczos solve, as
     zero rows would pass.
     """
-    if p.n_sites > MAX_BLOCK_SITES:
-        raise SizeError(f"comparison limited to N <= {MAX_BLOCK_SITES}, got {p.n_sites}")
+    # Chains come in multiples of 4: name the largest one within the block bound.
+    largest = MAX_BLOCK_SITES - MAX_BLOCK_SITES % 4
+    if p.n_sites > largest:
+        raise SizeError(f"comparison limited to N <= {largest}, got {p.n_sites}")
     curve = entropy_mod.block_entropy_curve(p, block_lens)
     if not curve:
         raise ParameterError("compare_entropies needs at least one block length")

@@ -91,11 +91,13 @@ def test_compare_passes_on_small_chain(tmp_path):
     assert all(float(r[3]) < 1e-8 for r in rows)
 
 
-def test_compare_rejects_oversized_chain():
+def test_compare_rejects_oversized_chain(capsys):
     assert cli.main([
         "compare", "--n-sites", "16", "--h-field", "0.5",
         "--from", "2", "--to", "4", "--step", "2", "--output", "-",
     ]) == 2
+    # N is a multiple of 4, so the bound names the largest chain that exists.
+    assert capsys.readouterr().err == "error: comparison limited to N <= 12, got 16\n"
     # Chains whose length the model itself rejects exit the same way.
     assert cli.main([
         "compare", "--n-sites", "18", "--h-field", "0.5",
@@ -360,7 +362,7 @@ def test_whole_block_ranges_may_be_written_as_floats(capsys):
 
 
 def test_oversized_chains_exit_quickly(capsys):
-    # The oracle refuses N > 10 before 2^(N/2 - 1) is built, and past 2^53
+    # The oracle refuses N > 8 before 2^(N/2 - 1) is built, and past 2^53
     # sites the momentum grid cannot be laid out exactly.
     start = time.monotonic()
     assert cli.main(["degeneracy", "--n-sites", "4000000000"]) == 2
@@ -369,7 +371,7 @@ def test_oversized_chains_exit_quickly(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: dense degeneracy count limited to N <= 10, got 4000000000",
+        "error: dense degeneracy count limited to N <= 8, got 4000000000",
         "error: n_sites must be at most 2**53, got 4000000000000000000",
     ]
 

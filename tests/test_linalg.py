@@ -109,9 +109,7 @@ def test_ground_pair_matches_dense_on_seeded_ensemble():
     for trial in range(50):
         dim = int(rng.integers(2, 129))
         a = rng.standard_normal((dim, dim))
-        if trial % 3 == 0:
-            a = a + 1j * rng.standard_normal((dim, dim))
-        a = a + a.conj().T
+        a = a + a.T
         val, vec = linalg.iterative_ground_pair(lambda v: a @ v, dim)
         dense_min = linalg.symmetric_eigen(a)[0]
         assert abs(val - dense_min) < 1e-9
@@ -137,9 +135,10 @@ def test_ground_pair_iteration_cap(monkeypatch):
 
 
 def test_ground_pair_breakdown_reports_steps_run():
-    # The Krylov space fills all 40 dimensions, the residual misses the 1e-14
-    # tolerance, and the restart vector is in the span: the solver stops
-    # after 40 steps and 41 operator calls, not at its 2000-step cap.
+    # The Krylov space fills all 40 dimensions and closes, and the residual
+    # misses the 1e-14 tolerance: the solver stops after 40 steps and 41
+    # operator calls (the last one checks the residual), not at its
+    # 2000-step cap.
     a = np.diag(np.arange(40.0))
     calls = []
 
@@ -162,3 +161,13 @@ def test_ground_pair_rejects_trivial_dimension():
 def test_ground_pair_rejects_misshapen_operator():
     with pytest.raises(ParameterError, match=r"operator returned shape \(3,\), expected \(4,\)"):
         linalg.iterative_ground_pair(lambda v: v[:3], 4)
+
+
+def test_ground_pair_rejects_complex_operator():
+    a = np.array([[0.0, 1j], [-1j, 0.0]])
+    with pytest.raises(ParameterError, match="operator returned complex128 values"):
+        linalg.iterative_ground_pair(lambda v: a @ v, 2)
+    # A complex output after a real one is rejected too, not cast to real.
+    outputs = iter([np.ones(3), np.ones(3, dtype=complex)])
+    with pytest.raises(ParameterError, match="operator returned complex128 values"):
+        linalg.iterative_ground_pair(lambda v: next(outputs), 3)

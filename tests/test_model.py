@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from kitaevchain.entropy import block_entropy_curve
 from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import (
     ChainParams,
@@ -26,10 +29,23 @@ def test_params_require_multiple_of_four_sites():
 
 @pytest.mark.parametrize("field", ["j_x", "j_y", "h_field"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
-                                 "1", 1j, np.complex128(1.0), None])
+                                 "1", 1j, np.complex128(1.0), None,
+                                 # Exact reals past the float range overflow in float().
+                                 pytest.param(10**400, id="10^400"),
+                                 pytest.param(2**1100, id="2^1100"),
+                                 pytest.param(-Fraction(10**400, 3), id="-10^400/3")])
 def test_params_reject_non_finite_couplings(field, bad):
     with pytest.raises(ParameterError, match=field):
         ChainParams(8, **{field: bad})
+
+
+def test_fraction_couplings_match_their_float_twin():
+    p = ChainParams(8, Fraction(1), Fraction(1, 2), Fraction(1, 2))
+    twin = ChainParams(8, 1.0, 0.5, 0.5)
+    assert p == twin
+    assert all(type(v) is float for v in (p.j_x, p.j_y, p.h_field))
+    assert ground_energy(p) == ground_energy(twin)
+    assert block_entropy_curve(p, range(1, 8)) == block_entropy_curve(twin, range(1, 8))
 
 
 def test_momentum_grid_four_sites():
