@@ -10,17 +10,14 @@ raise; every other name is imported from its submodule.
 """
 
 from .entropy import (
-    EntanglementSpectrum,
-    FitResult,
     block_entropy,
     block_entropy_curve,
     block_spectra,
     entanglement_spectrum,
-    enumerate_spectrum,
     fit_log_slope,
     schmidt_numbers,
 )
-from .exceptions import KitaevChainError, ParameterError, SingularModeError, SizeError
+from .exceptions import KitaevChainError, ParameterError, SizeError
 from .model import ChainParams, ground_degeneracy, ground_energy
 from .pairing import block_coupling, real_space_gamma
 
@@ -28,18 +25,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainParams",
-    "EntanglementSpectrum",
-    "FitResult",
     "KitaevChainError",
     "ParameterError",
-    "SingularModeError",
     "SizeError",
     "block_coupling",
     "block_entropy",
     "block_entropy_curve",
     "block_spectra",
     "entanglement_spectrum",
-    "enumerate_spectrum",
     "fit_log_slope",
     "ground_degeneracy",
     "ground_energy",

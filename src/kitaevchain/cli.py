@@ -115,7 +115,7 @@ def _cmd_degeneracy(args) -> int:
     p = _params_from(args)
     # The oracle's size check first: 2^(N/2 - 1) alone takes seconds at N = 10^9.
     counts = oracle.full_spectrum_degeneracy(p)
-    predicted = ground_degeneracy(p.n_sites)
+    predicted = ground_degeneracy(p)
     _write_csv(
         args.output,
         ["n_sites", "predicted_even", "even_sector", "odd_sector", "total"],

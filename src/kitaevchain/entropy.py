@@ -13,9 +13,8 @@ formed: the way back to the weights would only add rounding.
 block_spectra and block_entropy_curve run the momentum route: one table of G
 per chain, one largest block, one symmetric eigensolve per block size.  Both
 routes hand their occupations to schmidt_numbers, which keeps the ones that
-can be entangled; block_entropy, entanglement_spectrum and enumerate_spectrum
-take that occupation array as it is, and refuse NaN or any entry outside
-[0, 1].
+can be entangled; block_entropy and entanglement_spectrum take that
+occupation array as it is, and refuse NaN or any entry outside [0, 1].
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError, SizeError
+from .exceptions import ParameterError
 from .model import ChainParams, _index
 from .pairing import (
     BlockCoupling,
@@ -42,8 +41,6 @@ from .pairing import (
 # each one kept would add up to 4e-13 bits, and hundreds of them add up.  A
 # real mode below the floor carries under 5e-13 bits.
 NU_FLOOR = 1e-14
-
-ENUMERATION_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,8 @@ def entanglement_spectrum(nu: np.ndarray, count: int) -> EntanglementSpectrum:
     by flipping modes to their smaller weight.  Flip factors sorted by damage
     let a best-first heap deliver eigenvalues in descending order, visiting
     each subset of flips once.  Eigenvalues that are exactly zero (from modes
-    with nu = 0) are never emitted, so fewer than count values can return.
+    with nu = 0) are never emitted, so fewer than count values can return;
+    a count of 2^L returns every nonzero eigenvalue.
     """
     count = _index("count", count)
     if count < 1:
@@ -128,21 +126,6 @@ def entanglement_spectrum(nu: np.ndarray, count: int) -> EntanglementSpectrum:
             heapq.heappush(heap, (-min(v * factors[i + 1] / factors[i], v), i + 1))
     lam = np.asarray(values)
     return EntanglementSpectrum(lambdas=lam, total_captured=float(lam.sum()))
-
-
-def enumerate_spectrum(nu: np.ndarray) -> np.ndarray:
-    """All 2^L reduced-density eigenvalues from occupations nu, descending, zeros included.
-
-    Exponential in the block length; intended for small-block consistency
-    checks.
-    """
-    if len(nu) > ENUMERATION_LIMIT:
-        raise SizeError(f"enumeration limited to {ENUMERATION_LIMIT} modes")
-    nu = _checked_occupations(nu)
-    lam = np.ones(1)
-    for mode in nu:
-        lam = np.concatenate([lam * (1.0 - mode), lam * mode])
-    return np.sort(lam)[::-1]
 
 
 def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:

@@ -1,7 +1,8 @@
 """Error taxonomy shared across the package.
 
 Every rejected argument, whatever its check (shape, symmetry, norm, range),
-raises ParameterError.
+raises ParameterError; so do couplings with a singular momentum mode (zero
+energy, or a vanishing pair-amplitude denominator).
 """
 
 
@@ -11,10 +12,6 @@ class KitaevChainError(Exception):
 
 class ParameterError(KitaevChainError):
     """An argument is outside its documented domain."""
-
-
-class SingularModeError(KitaevChainError):
-    """A momentum mode is singular: zero energy, or a vanishing pair-amplitude denominator."""
 
 
 class SizeError(KitaevChainError):

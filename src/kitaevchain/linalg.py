@@ -1,13 +1,10 @@
-"""Dense and iterative eigensolvers for the exact-diagonalization oracle.
+"""Matrix-free Lanczos for the exact-diagonalization oracle's ground state.
 
-The oracle is the only user of this module; the entropy pipeline reduces
-its symmetric blocks with numpy's eigvalsh directly (see
-pairing.majorana_occupations).  Dense eigensolves of sector Hamiltonians
-and reduced density matrices delegate to numpy's LAPACK bindings.  The
-ground state of the real symmetric oracle Hamiltonian comes from a
-matrix-free Lanczos written here, because the oracle needs reproducible
-behaviour that numpy does not provide.  A wrong shape, a non-Hermitian
-matrix or an operator output that is not real raises ParameterError.
+The oracle is the only user of this module; the entropy pipeline and the
+oracle's dense steps call numpy's eigvalsh directly.  The ground state of the
+real symmetric oracle Hamiltonian comes from a Lanczos written here, because
+the oracle needs reproducible behaviour that numpy does not provide.  An
+operator output that is misshapen or not real raises ParameterError.
 """
 
 from __future__ import annotations
@@ -18,28 +15,11 @@ import numpy as np
 
 from .exceptions import ConvergenceError, ParameterError
 
-HERMITICITY_TOL = 1e-12
-
 # The one Lanczos setting the oracle runs: converged to a relative residual
 # of 1e-14 from a start vector of seed 0, within 2000 steps.
 LANCZOS_TOL = 1e-14
 LANCZOS_SEED = 0
 LANCZOS_MAX_STEPS = 2000
-
-
-def symmetric_eigen(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, for the oracle's dense steps.
-
-    The Hermiticity check is relative to the largest entry so that sector
-    Hamiltonians with large couplings are not rejected for roundoff.
-    """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ParameterError(f"expected a nonempty square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.conj().T).max() > HERMITICITY_TOL * scale:
-        raise ParameterError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(a)
 
 
 def iterative_ground_pair(

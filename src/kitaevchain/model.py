@@ -65,18 +65,13 @@ class ChainParams:
             object.__setattr__(self, name, value)
 
 
-def momentum_grid(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """All antiperiodic momenta, and the N/4 group labels q in (0, pi/2).
+def momentum_grid(n_sites: int) -> np.ndarray:
+    """The N/2 positive antiperiodic momenta (2j-1) pi/N, ascending.
 
-    Returns (all_k, mode_q); all_k holds the n_sites values +-(2j-1) pi/N
-    in ascending order, mode_q the ascending positive ones below pi/2.
+    The first N/4 of them, those below pi/2, are the group labels q.
     """
     _check_sites(n_sites)
-    odd = np.arange(1, n_sites, 2, dtype=float)
-    positive = odd * np.pi / n_sites
-    all_k = np.concatenate([-positive[::-1], positive])
-    mode_q = positive[: n_sites // 4]
-    return all_k, mode_q
+    return np.arange(1, n_sites, 2, dtype=float) * np.pi / n_sites
 
 
 def unit_scaled(p: ChainParams) -> tuple[ChainParams, int]:
@@ -108,7 +103,7 @@ def ground_energy(p: ChainParams) -> float:
     Even in h, and invariant under swapping J_x with J_y.  Raises
     ParameterError if the energy overflows a float.
     """
-    _, qs = momentum_grid(p.n_sites)
+    qs = momentum_grid(p.n_sites)[: p.n_sites // 4]
     unit, e = unit_scaled(p)
     eps1, eps2 = dispersion(unit, qs)
     energy = float(-4.0 * np.sum(np.sqrt(eps1**2 + eps2**2 + unit.h_field**2)))
@@ -118,10 +113,15 @@ def ground_energy(p: ChainParams) -> float:
         raise ParameterError(f"ground energy overflows a float at {p}") from None
 
 
-def ground_degeneracy(n_sites: int) -> int:
-    """Even-sector ground-state degeneracy at h = 0: 2^(N/2 - 1).
+def ground_degeneracy(p: ChainParams) -> int:
+    """Even-sector ground-state degeneracy.
 
-    Holds for any nonzero couplings; the field term lifts it completely.
+    A field lifts it completely: 1 at h != 0.  At h = 0 the even sector
+    holds 2^(N/2 - 1) ground states unless both couplings vanish; then
+    H = 0 and the whole even sector, 2^(N - 1) states, is ground.
     """
-    _check_sites(n_sites)
-    return 2 ** (n_sites // 2 - 1)
+    if p.h_field != 0.0:
+        return 1
+    if p.j_x == p.j_y == 0.0:
+        return 2 ** (p.n_sites - 1)
+    return 2 ** (p.n_sites // 2 - 1)

@@ -116,8 +116,8 @@ def full_spectrum_degeneracy(p: ChainParams) -> DegeneracyCount:
     cross = np.abs(h[np.ix_(even, odd)]).max()
     if cross > 1e-12:
         raise KitaevChainError(f"Hamiltonian mixes parity sectors by {cross:.3e}")
-    w_even = linalg.symmetric_eigen(h[np.ix_(even, even)])
-    w_odd = linalg.symmetric_eigen(h[np.ix_(odd, odd)])
+    w_even = np.linalg.eigvalsh(h[np.ix_(even, even)])
+    w_odd = np.linalg.eigvalsh(h[np.ix_(odd, odd)])
     gmin = min(w_even[0], w_odd[0])
     n_even = int(np.count_nonzero(w_even <= gmin + DEGENERACY_TOL))
     n_odd = int(np.count_nonzero(w_odd <= gmin + DEGENERACY_TOL))
@@ -144,8 +144,16 @@ def reduced_density(state: np.ndarray, block_len: int) -> np.ndarray:
 
 
 def vn_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy in bits, with 0 log 0 taken as 0."""
-    w = linalg.symmetric_eigen(rho)
+    """Von Neumann entropy in bits, with 0 log 0 taken as 0.
+
+    rho must be nonempty, square and Hermitian to 1e-12 times max(1, its largest entry).
+    """
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] == 0:
+        raise ParameterError(f"expected a nonempty square matrix, got shape {rho.shape}")
+    if np.abs(rho - rho.conj().T).max() > 1e-12 * max(1.0, float(np.abs(rho).max())):
+        raise ParameterError("matrix is not Hermitian within tolerance")
+    w = np.linalg.eigvalsh(rho)
     if w[0] < -1e-10:
         raise ParameterError(f"density matrix has eigenvalue {w[0]:.3e}")
     w = w[w > 0.0]

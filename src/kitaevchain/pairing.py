@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import ParameterError, SingularModeError
+from .exceptions import ParameterError
 from .model import ChainParams, _index, dispersion, momentum_grid, unit_scaled
 
 
@@ -48,7 +48,7 @@ def pair_amplitudes(p: ChainParams, q):
     a_n = eps_n / (h + sqrt(|eps_q|^2 + h^2)).  For h <= 0 the denominator
     is evaluated as |eps_q|^2 / (sqrt(|eps_q|^2 + h^2) - h), which is the
     same number without the cancellation.  It vanishes, raising
-    SingularModeError, where h <= 0 and |eps_q|^2 is 0 or underflows (|h| / J
+    ParameterError, where h <= 0 and |eps_q|^2 is 0 or underflows (|h| / J
     over about 1e162).  At h < 0 that is the filled product state, which
     majorana_table gives S = 0 but real_space_gamma still refuses.  The
     amplitudes depend only on the ratios J_x : J_y : h, so they are
@@ -63,7 +63,7 @@ def pair_amplitudes(p: ChainParams, q):
     else:
         if np.any(r2 == 0.0):
             bad = np.asarray(q)[np.asarray(r2) == 0.0] if np.ndim(q) else q
-            raise SingularModeError(
+            raise ParameterError(
                 f"amplitude denominator vanishes at q = {bad} for h = {p.h_field}"
             )
         den = r2 / (root - unit.h_field)
@@ -109,7 +109,7 @@ def _beta_tables(p: ChainParams) -> tuple[np.ndarray, np.ndarray]:
     one FFT serves every separation.
     """
     n = p.n_sites
-    _, qs = momentum_grid(n)
+    qs = momentum_grid(n)[: n // 4]
     padded = np.zeros((2, n))
     padded[:, : len(qs)] = pair_amplitudes(p, qs)
     x = np.arange(-(n - 1), n)
@@ -274,15 +274,15 @@ def majorana_table(p: ChainParams) -> np.ndarray:
     algebra in closed form: the symbol of Z is z = -(a1 - i a2) e^{-iq}, so
     C = |z|^2 / (1 + |z|^2) = (E - h) / 2E and F = -z / (1 + |z|^2) = e / 2E.
     On unit_scaled couplings no square overflows, and E vanishes, raising
-    SingularModeError, only at J_x = J_y = h = 0.
+    ParameterError, only at J_x = J_y = h = 0.
     """
     cells = p.n_sites // 2
-    q = momentum_grid(p.n_sites)[0][cells:]
+    q = momentum_grid(p.n_sites)
     unit, _ = unit_scaled(p)
     eps1, eps2 = dispersion(unit, q)
     energy = np.sqrt(eps1 * eps1 + eps2 * eps2 + unit.h_field * unit.h_field)
     if not np.all(energy):
-        raise SingularModeError(f"every mode has zero energy at {p}: no unique ground state")
+        raise ParameterError(f"every mode has zero energy at {p}: no unique ground state")
     eps = (eps1 - 1j * eps2) * np.exp(-1j * q)
     h = np.full(cells, unit.h_field)
     symbols = np.stack([[h, eps], [-eps.conj(), h]]) / energy

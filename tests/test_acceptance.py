@@ -14,7 +14,7 @@ from kitaevchain import fit_log_slope, oracle
 from kitaevchain.entropy import (
     block_entropy,
     block_entropy_curve,
-    enumerate_spectrum,
+    entanglement_spectrum,
     schmidt_numbers,
 )
 from kitaevchain.model import ChainParams, ground_degeneracy, ground_energy
@@ -76,8 +76,9 @@ def test_criterion_3_degeneracy():
     detail = []
     for n in (4, 8):
         for ratio in (1.0, 0.8, 0.3):
-            counts = oracle.full_spectrum_degeneracy(ChainParams(n, 1.0, ratio, 0.0))
-            expected = ground_degeneracy(n)
+            p = ChainParams(n, 1.0, ratio, 0.0)
+            counts = oracle.full_spectrum_degeneracy(p)
+            expected = ground_degeneracy(p)
             ok = ok and counts.even_sector == expected
             detail.append(f"N={n},r={ratio}:{counts.even_sector}/{expected}")
     elapsed = time.monotonic() - t0
@@ -200,7 +201,7 @@ def test_criterion_8_spectrum_consistency():
         h = float(rng.uniform(0.1, 2.0)) * (1 if rng.random() < 0.5 else -1)
         length = int(rng.integers(1, min(12, n - 1) + 1))
         s = schmidt_numbers(block_coupling(real_space_gamma(ChainParams(n, jx, jy, h)), length))
-        lam = enumerate_spectrum(s)
+        lam = entanglement_spectrum(s, 2 ** len(s)).lambdas
         worst_sum = max(worst_sum, abs(float(lam.sum()) - 1.0))
         nz = lam[lam > 0]
         shannon = float(-(nz * np.log2(nz)).sum())

@@ -1,10 +1,14 @@
 """The top-level API: exactly the names the README, demos and bench call.
 
-Everything else is imported from its submodule, so a name added to or
-dropped from kitaevchain.__all__ must show up here.
+The expected set is read from those files, not kept by hand: the names the
+README's Python block and the demos import from kitaevchain, the
+kitaevchain.<name> uses in the bench, and the three errors a caller may
+catch.  A name nothing uses cannot enter __all__, and a name they use
+cannot leave it.  Everything else is imported from its submodule.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -21,45 +25,7 @@ from kitaevchain import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-
-PUBLIC = [
-    "ChainParams",
-    "EntanglementSpectrum",
-    "FitResult",
-    "KitaevChainError",
-    "ParameterError",
-    "SingularModeError",
-    "SizeError",
-    "block_coupling",
-    "block_entropy",
-    "block_entropy_curve",
-    "block_spectra",
-    "entanglement_spectrum",
-    "enumerate_spectrum",
-    "fit_log_slope",
-    "ground_degeneracy",
-    "ground_energy",
-    "real_space_gamma",
-    "schmidt_numbers",
-    "__version__",
-]
-
-
-def test_all_is_pinned_and_resolves():
-    assert kitaevchain.__all__ == PUBLIC
-    for name in PUBLIC:
-        assert getattr(kitaevchain, name) is not None, name
-
-
-def test_one_error_per_kind():
-    # Every rejected argument is a ParameterError; only the kinds a caller
-    # may want to catch apart have their own class.
-    classes = {name for name, obj in vars(exceptions).items()
-               if isinstance(obj, type) and issubclass(obj, Exception)}
-    assert classes == {"KitaevChainError", "ParameterError", "SingularModeError", "SizeError",
-                       "ConvergenceError"}
-    for name in classes:
-        assert issubclass(getattr(exceptions, name), kitaevchain.KitaevChainError), name
+ERRORS = {"KitaevChainError", "ParameterError", "SizeError"}
 
 
 def _top_level_imports(source: str) -> set[str]:
@@ -68,16 +34,59 @@ def _top_level_imports(source: str) -> set[str]:
             for alias in node.names}
 
 
-def test_readme_and_demos_import_only_public_names():
+def _attribute_uses(source: str) -> set[str]:
+    """The <name> of every kitaevchain.<name>, under whatever name the package is imported."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "kitaevchain"}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+
+
+def _import_sources() -> dict[str, str]:
     readme = (ROOT / "README.md").read_text()
     [python_block] = [block.split("\n", 1)[1] for block in readme.split("```")[1::2]
                       if block.startswith("python\n")]
     sources = {"README.md": python_block}
     sources.update({path.name: path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))})
-    for where, source in sources.items():
+    return sources
+
+
+def _expected_public() -> set[str]:
+    names = set(ERRORS)
+    for source in _import_sources().values():
+        names |= _top_level_imports(source)
+    for path in (ROOT / "bench" / "workloads.py", ROOT / "bench" / "test_bench.py"):
+        names |= {name for name in _attribute_uses(path.read_text())
+                  if not inspect.ismodule(getattr(kitaevchain, name, None))}
+    return names
+
+
+def test_all_is_pinned_and_resolves():
+    expected = _expected_public()
+    assert len(kitaevchain.__all__) == len(set(kitaevchain.__all__))
+    assert set(kitaevchain.__all__) == expected | {"__version__"}
+    for name in kitaevchain.__all__:
+        assert getattr(kitaevchain, name) is not None, name
+
+
+def test_one_error_per_kind():
+    # Every rejected argument is a ParameterError; only the kinds a caller
+    # may want to catch apart have their own class.
+    classes = {name for name, obj in vars(exceptions).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes == ERRORS | {"ConvergenceError"}
+    for name in classes:
+        assert issubclass(getattr(exceptions, name), kitaevchain.KitaevChainError), name
+
+
+def test_readme_and_demos_import_only_public_names():
+    for where, source in _import_sources().items():
         names = _top_level_imports(source)
         assert names, where
-        assert names <= set(PUBLIC), (where, names - set(PUBLIC))
+        assert names <= set(kitaevchain.__all__), (where, names - set(kitaevchain.__all__))
 
 
 def test_reference_chain_hands_occupations_to_bits():

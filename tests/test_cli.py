@@ -65,6 +65,20 @@ def test_degeneracy_subcommand(tmp_path):
     assert even + odd == total
 
 
+@pytest.mark.parametrize("couplings,even", [
+    (["--h-field", "0.5"], 1),
+    (["--jx", "0", "--jy", "0", "--h-field=-0.3"], 1),
+    (["--jx", "0", "--jy", "0"], 128),
+    (["--jx", "0"], 8),
+])
+def test_degeneracy_prediction_matches_the_count(couplings, even, capsys):
+    # The field lifts the level, and with no coupling and no field every
+    # even state is ground: the prediction follows the chain, not only N.
+    assert cli.main(["degeneracy", "--n-sites", "8", *couplings, "--output", "-"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert int(row[1]) == int(row[2]) == even
+
+
 def test_spectrum_subcommand(tmp_path):
     out = tmp_path / "s.csv"
     assert cli.main([

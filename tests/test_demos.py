@@ -15,7 +15,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 CLOSING_LINES = {
     "area_law.py": r"  plateau spread over last 10 points: \S+",
-    "critical_scaling.py": r"expected slope ln\(2\)/2 = 0\.34657 bits per doubling",
+    "critical_scaling.py": r"expected slope 1/3 = 0\.33333 bits per doubling",
     "oracle_check.py": r"all comparisons within 1e-8",
     "peak_structure.py": r"\(equal couplings gave S = 3\.044960\)",
 }

@@ -5,76 +5,6 @@ from kitaevchain import linalg
 from kitaevchain.exceptions import ConvergenceError, ParameterError
 
 
-def hilbert_charpoly(lam):
-    """Characteristic polynomial of the 3x3 Hilbert matrix, exact rationals.
-
-    det(H - lam I) expanded by hand: trace 23/15, sum of principal 2x2
-    minors 127/720, determinant 1/2160.
-    """
-    return lam**3 - (23.0 / 15.0) * lam**2 + (127.0 / 720.0) * lam - 1.0 / 2160.0
-
-
-def bisect_roots(f, lo, hi, samples=4000):
-    """All roots of f in [lo, hi] found by sign-change bisection."""
-    xs = np.linspace(lo, hi, samples)
-    fs = np.array([f(x) for x in xs])
-    roots = []
-    for i in range(samples - 1):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb > 0:
-            continue
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    return np.array(roots)
-
-
-def test_identity_eigenvalues():
-    assert np.allclose(linalg.symmetric_eigen(np.eye(3)), [1.0, 1.0, 1.0])
-
-
-def test_pauli_x_spectrum():
-    vals = linalg.symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(vals, [-1.0, 1.0])
-
-
-def test_hilbert_matrix_against_bisection_oracle():
-    h = np.array([[1 / (i + j + 1) for j in range(3)] for i in range(3)])
-    expected = np.sort(bisect_roots(hilbert_charpoly, 1e-6, 2.0))
-    got = linalg.symmetric_eigen(h)
-    assert len(expected) == 3
-    assert np.abs(got - expected).max() < 1e-10
-
-
-def test_eigenvalues_ascending_and_trace_preserved():
-    rng = np.random.default_rng(7)
-    for dim in (2, 5, 17, 64):
-        a = rng.standard_normal((dim, dim))
-        a = a + a.T
-        vals = linalg.symmetric_eigen(a)
-        assert np.all(np.diff(vals) >= -1e-12)
-        assert abs(vals.sum() - np.trace(a)) < 1e-10 * dim
-
-
-def test_rejects_non_square_and_non_hermitian():
-    with pytest.raises(ParameterError, match=r"square matrix, got shape \(2, 3\)"):
-        linalg.symmetric_eigen(np.ones((2, 3)))
-    with pytest.raises(ParameterError, match=r"nonempty square matrix, got shape \(0, 0\)"):
-        linalg.symmetric_eigen(np.zeros((0, 0)))
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ParameterError, match="not Hermitian"):
-        linalg.symmetric_eigen(bad)
-
-
 def test_ground_pair_pauli_x():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     val, vec = linalg.iterative_ground_pair(lambda v: a @ v, 2)
@@ -101,7 +31,7 @@ def test_ground_pair_random_dense_64():
     a = rng.standard_normal((64, 64))
     a = a + a.T
     val, _ = linalg.iterative_ground_pair(lambda v: a @ v, 64)
-    assert abs(val - linalg.symmetric_eigen(a)[0]) < 1e-9
+    assert abs(val - np.linalg.eigvalsh(a)[0]) < 1e-9
 
 
 def test_ground_pair_matches_dense_on_seeded_ensemble():
@@ -111,7 +41,7 @@ def test_ground_pair_matches_dense_on_seeded_ensemble():
         a = rng.standard_normal((dim, dim))
         a = a + a.T
         val, vec = linalg.iterative_ground_pair(lambda v: a @ v, dim)
-        dense_min = linalg.symmetric_eigen(a)[0]
+        dense_min = np.linalg.eigvalsh(a)[0]
         assert abs(val - dense_min) < 1e-9
         resid = np.linalg.norm(a @ vec - val * vec)
         assert resid < 1e-10 * max(1.0, abs(val))

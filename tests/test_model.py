@@ -49,21 +49,19 @@ def test_fraction_couplings_match_their_float_twin():
 
 
 def test_momentum_grid_four_sites():
-    all_k, mode_q = momentum_grid(4)
-    assert np.allclose(np.sort(all_k), np.sort([-3 * np.pi / 4, -np.pi / 4, np.pi / 4, 3 * np.pi / 4]))
-    assert np.allclose(mode_q, [np.pi / 4])
+    assert np.allclose(momentum_grid(4), [np.pi / 4, 3 * np.pi / 4])
 
 
 def test_momentum_grid_eight_sites():
-    _, mode_q = momentum_grid(8)
-    assert np.allclose(mode_q, [np.pi / 8, 3 * np.pi / 8])
+    assert np.allclose(momentum_grid(8), [np.pi / 8, 3 * np.pi / 8, 5 * np.pi / 8, 7 * np.pi / 8])
 
 
 def test_momentum_grid_large_count():
-    _, mode_q = momentum_grid(1000)
-    assert len(mode_q) == 250
-    assert mode_q.max() < np.pi / 2
-    assert mode_q.min() > 0
+    k = momentum_grid(1000)
+    assert len(k) == 500
+    assert np.all(np.diff(k) > 0) and k.min() > 0 and k.max() < np.pi
+    # The first N/4 are the group labels q, all below pi/2; the rest lie above.
+    assert k[249] < np.pi / 2 < k[250]
 
 
 def test_dispersion_equal_couplings():
@@ -140,19 +138,23 @@ def test_ground_energy_scales_with_couplings():
 
 
 def test_ground_degeneracy_closed_form():
-    assert ground_degeneracy(4) == 2
-    assert ground_degeneracy(8) == 8
-    assert ground_degeneracy(12) == 32
+    assert ground_degeneracy(ChainParams(4)) == 2
+    assert ground_degeneracy(ChainParams(8, 1.0, 0.8)) == 8
+    assert ground_degeneracy(ChainParams(12, 0.0, 1.0)) == 32
+    # A field lifts it; with no coupling and no field every even state is ground.
+    assert ground_degeneracy(ChainParams(8, 1.0, 1.0, 0.5)) == 1
+    assert ground_degeneracy(ChainParams(8, 0.0, 0.0, -1e-300)) == 1
+    assert ground_degeneracy(ChainParams(8, 0.0, 0.0, 0.0)) == 128
 
 
 def test_ground_degeneracy_rejects_bad_sizes():
-    with pytest.raises(ParameterError):
-        ground_degeneracy(6)
-    with pytest.raises(ParameterError):
-        ground_degeneracy(0)
+    # The chain length is checked once, where the ChainParams is built.
+    for bad in (6, 0):
+        with pytest.raises(ParameterError):
+            ground_degeneracy(ChainParams(bad))
     with pytest.raises(ParameterError, match="n_sites must be an integer"):
-        ground_degeneracy(12.0)
-    assert ground_degeneracy(np.int64(12)) == 32
+        ground_degeneracy(ChainParams(12.0))
+    assert ground_degeneracy(ChainParams(np.int64(12))) == 32
 
 
 def test_params_reject_chains_past_exact_momenta():
@@ -164,5 +166,3 @@ def test_params_reject_chains_past_exact_momenta():
             ChainParams(bad)
         with pytest.raises(ParameterError):
             momentum_grid(bad)
-        with pytest.raises(ParameterError):
-            ground_degeneracy(bad)

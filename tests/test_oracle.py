@@ -111,14 +111,15 @@ def test_mode_sum_matches_oracle_across_coupling_grid():
 def test_degeneracy_counts_at_zero_field():
     for jy in (1.0, 0.8, 0.3):
         for n in (4, 8):
-            counts = oracle.full_spectrum_degeneracy(ChainParams(n, 1.0, jy, 0.0))
-            assert counts.even_sector == ground_degeneracy(n)
+            p = ChainParams(n, 1.0, jy, 0.0)
+            assert oracle.full_spectrum_degeneracy(p).even_sector == ground_degeneracy(p)
 
 
 def test_field_lifts_degeneracy():
-    counts = oracle.full_spectrum_degeneracy(ChainParams(4, 1.0, 1.0, 0.5))
+    p = ChainParams(4, 1.0, 1.0, 0.5)
+    counts = oracle.full_spectrum_degeneracy(p)
     assert counts.total == 1
-    assert counts.even_sector == 1
+    assert counts.even_sector == 1 == ground_degeneracy(p)
 
 
 def test_degeneracy_size_gate():
@@ -199,6 +200,63 @@ def test_vn_entropy_diagonal_cases():
     assert oracle.vn_entropy(np.diag([1.0, 0.0])) == 0.0
     assert abs(oracle.vn_entropy(np.diag([0.5, 0.5])) - 1.0) < 1e-14
     assert abs(oracle.vn_entropy(np.diag([0.25] * 4)) - 2.0) < 1e-14
+
+
+def hilbert_charpoly(lam):
+    """Characteristic polynomial of the 3x3 Hilbert matrix, exact rationals.
+
+    det(H - lam I) expanded by hand: trace 23/15, sum of principal 2x2
+    minors 127/720, determinant 1/2160.
+    """
+    return lam**3 - (23.0 / 15.0) * lam**2 + (127.0 / 720.0) * lam - 1.0 / 2160.0
+
+
+def bisect_roots(f, lo, hi, samples=4000):
+    """All roots of f in [lo, hi] found by sign-change bisection."""
+    xs = np.linspace(lo, hi, samples)
+    fs = np.array([f(x) for x in xs])
+    roots = []
+    for i in range(samples - 1):
+        a, b = xs[i], xs[i + 1]
+        fa, fb = fs[i], fs[i + 1]
+        if fa == 0.0:
+            roots.append(a)
+            continue
+        if fa * fb > 0:
+            continue
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            fm = f(mid)
+            if fa * fm <= 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
+    return np.array(roots)
+
+
+def test_vn_entropy_of_hilbert_matrix_against_bisection():
+    # The 3x3 Hilbert matrix over its trace is a density matrix whose
+    # eigenvalues are the roots of a cubic with exact rational coefficients.
+    h = np.array([[1 / (i + j + 1) for j in range(3)] for i in range(3)])
+    roots = bisect_roots(hilbert_charpoly, 1e-6, 2.0)
+    assert len(roots) == 3
+    w = roots / (23.0 / 15.0)
+    assert abs(oracle.vn_entropy(h / np.trace(h)) + (w * np.log2(w)).sum()) < 1e-10
+
+
+def test_vn_entropy_rejects_non_square_and_non_hermitian():
+    with pytest.raises(ParameterError, match=r"square matrix, got shape \(2, 3\)"):
+        oracle.vn_entropy(np.ones((2, 3)))
+    with pytest.raises(ParameterError, match=r"nonempty square matrix, got shape \(0, 0\)"):
+        oracle.vn_entropy(np.zeros((0, 0)))
+    with pytest.raises(ParameterError, match="not Hermitian"):
+        oracle.vn_entropy(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    # The tolerance is relative to the largest entry: roundoff on large
+    # entries passes, and the matrix goes on to the eigenvalue check.
+    big = np.array([[1e6, 1e6 * (1 + 1e-15)], [1e6, 0.0]])
+    with pytest.raises(ParameterError, match="density matrix has eigenvalue"):
+        oracle.vn_entropy(big)
 
 
 def test_vn_entropy_rejects_negative_weight():

@@ -10,7 +10,7 @@ from kitaevchain.entropy import (
     block_spectra,
     schmidt_numbers,
 )
-from kitaevchain.exceptions import ParameterError, SingularModeError
+from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import ChainParams, momentum_grid
 from kitaevchain.pairing import (
     block_coupling,
@@ -46,7 +46,7 @@ def test_amplitudes_negative_field_matches_direct_formula():
     # The guarded form must agree with eps / (h + sqrt(|eps|^2 + h^2))
     # wherever the direct denominator is safely away from zero.
     p = ChainParams(8, 1.0, 0.8, -0.7)
-    for q in momentum_grid(8)[1]:
+    for q in momentum_grid(8)[:2]:
         e1 = 0.5 * (p.j_x + p.j_y) * np.cos(q)
         e2 = 0.5 * (p.j_y - p.j_x) * np.sin(q)
         den = p.h_field + np.sqrt(e1**2 + e2**2 + p.h_field**2)
@@ -56,10 +56,13 @@ def test_amplitudes_negative_field_matches_direct_formula():
 
 
 def test_amplitudes_singular_mode_rejected():
-    with pytest.raises(SingularModeError):
+    with pytest.raises(ParameterError, match="amplitude denominator vanishes"):
         pair_amplitudes(ChainParams(4, 0.0, 0.0, -1.0), np.pi / 4)
-    with pytest.raises(SingularModeError):
+    with pytest.raises(ParameterError, match="amplitude denominator vanishes"):
         pair_amplitudes(ChainParams(4, 0.0, 0.0, 0.0), np.pi / 4)
+    # The momentum route refuses only the chain with no coupling and no field.
+    with pytest.raises(ParameterError, match="every mode has zero energy"):
+        majorana_table(ChainParams(4, 0.0, 0.0, 0.0))
 
 
 def beta_coefficients(p: ChainParams, n: int, x: int) -> complex:
@@ -70,7 +73,7 @@ def beta_coefficients(p: ChainParams, n: int, x: int) -> complex:
     """
     if n not in (1, 2):
         raise ParameterError(f"amplitude index must be 1 or 2, got {n}")
-    _, qs = momentum_grid(p.n_sites)
+    qs = momentum_grid(p.n_sites)[: p.n_sites // 4]
     a1, a2 = pair_amplitudes(p, qs)
     amps = a1 if n == 1 else a2
     return complex(np.sum(amps * np.exp(1j * qs * x)) / p.n_sites)
