@@ -3,7 +3,7 @@
 The chain couples odd bonds through x spins and even bonds through y spins,
 with a uniform transverse field.  A momentum-space pairing construction
 reduces ground-state block entanglement to an eigenproblem linear in the
-chain length; a brute-force diagonalization oracle checks it at small sizes.
+block length; a brute-force diagonalization oracle checks it at small sizes.
 
 The top level holds the calls the README and demos use and the errors they
 raise; every other name is imported from its submodule.

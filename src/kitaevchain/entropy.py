@@ -11,10 +11,15 @@ of binary entropies H(nu_n).  No Schmidt numbers eta = nu / (1 - nu) are
 formed: the way back to the weights would only add rounding.
 
 block_spectra and block_entropy_curve run the momentum route: one table of G
-per chain, one largest block, one symmetric eigensolve per block size.  Both
-routes hand their occupations to schmidt_numbers, which keeps the ones that
-can be entangled; block_entropy and entanglement_spectrum take that
-occupation array as it is, and refuse NaN or any entry outside [0, 1].
+per chain, then for each block size one of two reductions, picked by a fixed
+flop and size rule.  A short block takes one symmetric eigensolve of its
+L x L block of G D.  A long one takes the few large singular values of its
+L x (N - L) cross block to the rest of the ring, by subspace iteration that
+grows until any mode it missed would fall under NU_FLOOR, and forms no
+L x L problem.  Both the momentum and the reference route hand their
+occupations to schmidt_numbers, which keeps the ones that can be entangled;
+block_entropy and entanglement_spectrum take that occupation array as it is,
+and refuse NaN or any entry outside [0, 1].
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -31,6 +36,7 @@ from .pairing import (
     BlockCoupling,
     _check_block_len,
     majorana_block,
+    majorana_cross_block,
     majorana_occupations,
     majorana_table,
 )
@@ -41,6 +47,20 @@ from .pairing import (
 # each one kept would add up to 4e-13 bits, and hundreds of them add up.  A
 # real mode below the floor carries under 5e-13 bits.
 NU_FLOOR = 1e-14
+
+# The low-rank route's first subspace: this many columns of the cross block,
+# half next to each cut.
+START_COLUMNS = 16
+
+# Rows of the cross block per product.  Products over the whole block ran
+# on two BLAS threads, and the second one's buffers raised peak memory.
+PANEL_ROWS = 32
+
+# The low-rank route's cost per call beyond its products, in flops of the
+# dense route: its two QRs, panel loop and Gram eigensolve took ~0.3 ms on
+# 2 cores (OpenBLAS 0.3.31), where the dense route runs ~1e-10 s per flop.
+# It keeps L = 100 at N = 200 dense, where both routes take about as long.
+LOW_RANK_OVERHEAD = 2.5e6
 
 
 @dataclass(frozen=True)
@@ -128,21 +148,105 @@ def entanglement_spectrum(nu: np.ndarray, count: int) -> EntanglementSpectrum:
     return EntanglementSpectrum(lambdas=lam, total_captured=float(lam.sum()))
 
 
+def _low_rank_pays(n_sites: int, block_len: int) -> bool:
+    """Whether a block takes the low-rank route: cheaper, and not much bigger.
+
+    The dense route's tridiagonalization costs 4 L^3 / 3 flops; the
+    low-rank route's three products with B cost 6 L (N - L) k at the
+    START_COLUMNS = k it starts from, plus LOW_RANK_OVERHEAD.  The cross
+    block B must also hold at most three times the entries of the dense
+    block, so a short block of a long chain never lays out a huge B.
+    """
+    rest = n_sites - block_len
+    dense = 4 * block_len**3 / 3
+    low_rank = 6 * block_len * rest * START_COLUMNS + LOW_RANK_OVERHEAD
+    return rest <= 3 * block_len and dense > low_rank
+
+
+def _dense_occupations(table: np.ndarray, lens: list[int]) -> list[np.ndarray]:
+    """Each length's occupations from a leading slice of the largest block of G D."""
+    if not lens:
+        return []
+    block = majorana_block(table, max(lens))
+    return [majorana_occupations(block[:length, :length]) for length in lens]
+
+
+def _cross_occupations(cross: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
+    """Occupations of a block from its cross block B, descending, and the missed mass tau.
+
+    G D is orthogonal because the state is pure, so its rows through the
+    block give A A^T + B B^T = 1 for the block A of majorana_occupations:
+    B's singular values are sigma^2 = 1 - (1 - 2 nu)^2 = 4 nu (1 - nu), and
+    nu = sigma^2 / (2 (1 + sqrt(1 - sigma^2))) has no 1 - |lambda|
+    cancellation.  Only the few modes near the two cuts are entangled, so
+    randomized subspace iteration (Halko, Martinsson and Tropp, SIAM Rev. 53,
+    217 (2011)) finds them with no L x L eigenproblem.  It starts from the k
+    columns of B next to the two cuts, half each, takes one power step
+    (QR, B^T, B, QR) and reads sigma^2 off the k x k Gram of Q^T B.  By
+    interlacing, the missed mass tau = |B|_F^2 - sum sigma^2 bounds every
+    mode the subspace missed, so k doubles until tau <= 4 NU_FLOOR: a missed
+    mode then has nu <= NU_FLOOR and would count as zero anyway.  The start
+    columns are fixed, so equal input gives bitwise equal output.  mass is
+    |B|_F^2, as majorana_cross_block returns it.  One nu per row of B; past
+    the k found they are zeros.
+    """
+    rows, cols = cross.shape
+    panels = [slice(i, i + PANEL_ROWS) for i in range(0, rows, PANEL_ROWS)]
+
+    def times(right):
+        return np.concatenate([cross[panel] @ right for panel in panels])
+
+    def adjoint_times(left):
+        total = np.zeros((cols, left.shape[1]))
+        for panel in panels:
+            total += cross[panel].T @ left[panel]
+        return total
+
+    full = min(rows, cols)
+    k = min(START_COLUMNS, full)
+    while True:
+        near_cuts = np.concatenate([cross[:, : k - k // 2], cross[:, cols - k // 2 :]], axis=1)
+        q = np.linalg.qr(times(adjoint_times(np.linalg.qr(near_cuts)[0])))[0]
+        projected = adjoint_times(q)
+        sigma2 = np.clip(np.linalg.eigvalsh(projected.T @ projected)[::-1], 0.0, 1.0)
+        tau = mass - float(sigma2.sum())
+        if tau <= 4.0 * NU_FLOOR or k == full:
+            break
+        k = min(2 * k, full)
+    nu = np.zeros(rows)
+    nu[:k] = sigma2 / (2.0 * (1.0 + np.sqrt(1.0 - sigma2)))
+    return nu, tau
+
+
+def _low_rank_occupations(table: np.ndarray, lens: list[int]) -> list[np.ndarray]:
+    """Each length's occupations from its cross block, laid out in one shared buffer."""
+    if not lens:
+        return []
+    n_sites = 2 * table.shape[2]
+    buffer = np.empty(max(length * (n_sites - length) for length in lens))
+    return [_cross_occupations(*majorana_cross_block(table, length, buffer))[0]
+            for length in lens]
+
+
 def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
     """Entangled-mode occupations of the first L sites for each requested L, in order.
 
-    The table of G and its largest requested signed block are built once;
-    each block size takes the eigenvalues of a leading slice of that block.
+    One table of G serves every block size.  Each size takes one of two
+    routes, by _low_rank_pays: the dense route reads the eigenvalues of
+    a leading slice of one block of G D, as large as the largest length it
+    serves; the low-rank route reads the singular values of the block's
+    cross block to the rest of the ring.  The dense block is gone before
+    the cross blocks' buffer is made.
     """
     lens = [_check_block_len(p.n_sites, length) for length in block_lens]
     if not lens:
         return []
-    g = majorana_block(majorana_table(p), max(lens))
-    spectra = []
-    for length in lens:
-        nu = majorana_occupations(g[:length, :length])
-        spectra.append((length, schmidt_numbers(BlockCoupling(nu, p.n_sites))))
-    return spectra
+    table = majorana_table(p)
+    low_rank = [_low_rank_pays(p.n_sites, length) for length in lens]
+    dense = iter(_dense_occupations(table, [n for n, low in zip(lens, low_rank) if not low]))
+    thin = iter(_low_rank_occupations(table, [n for n, low in zip(lens, low_rank) if low]))
+    return [(length, schmidt_numbers(BlockCoupling(next(thin if low else dense), p.n_sites)))
+            for length, low in zip(lens, low_rank)]
 
 
 def block_entropy_curve(p: ChainParams, block_lens) -> list[tuple[int, float]]:

@@ -6,13 +6,17 @@ ground-state correlations.  The pairing couples odd sites only to even
 sites, so with the sublattice signs D = diag((-1)^j) (0-based sites j)
 D G D = G^T: every leading L x L block of G D is symmetric, and its
 eigenvalues are +-(1 - 2 nu) for the natural-mode occupations nu of a block
-of L sites.  Both routes lay out that signed block and hand it to
+of L sites.  Both routes can lay out that signed block and hand it to
 majorana_occupations, one symmetric eigensolve per block:
 
 - the momentum route (majorana_table, majorana_block) reads G's unitary
   2 x 2 symbol over the two-site unit cell off the dispersion, and one
   inverse FFT of length N/2 turns it into one table of G per cell
-  separation.  It costs O(N log N + L^3) time and O(N + L^2) memory, and
+  separation, in O(N log N) time and O(N) memory.  From the table it lays
+  out either the L x L block, for an O(L^3) eigensolve, or the
+  L x (N - L) cross block to the rest of the ring (majorana_cross_block),
+  whose few large singular values give the same nu in O(L (N - L)) time
+  per subspace column; entropy.block_spectra picks one per block size and
   feeds the entropy pipeline;
 - the paper's construction (real_space_gamma, block_coupling,
   pair_correlations) writes the ground state as exp(Z) on the fermion
@@ -308,6 +312,49 @@ def majorana_block(table: np.ndarray, block_len: int) -> np.ndarray:
     signed[:, 1] *= -1.0
     blocks = sliding_window_view(signed, k, axis=2)[:, :, :, ::-1]
     return blocks.transpose(2, 0, 3, 1).reshape(2 * k, 2 * k)[:block_len, :block_len]
+
+
+def majorana_cross_block(
+    table: np.ndarray, block_len: int, out: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The cross block B = (G D)[:L, L:] from a majorana_table, and |B|_F^2.
+
+    Rows are the block's L sites and columns the other N - L sites of the
+    ring, in site order.  B is written into the flat float buffer out,
+    which must hold L (N - L) entries, and returned as a view of it.  As in
+    majorana_block, reversed sliding windows lay out each pair of
+    sublattices as a Toeplitz block in the cell separation.  The squared
+    Frobenius norm is summed from the table instead, each separation's
+    square weighted by how often B holds it: a sum of positive terms, exact
+    to relative rounding.
+    """
+    cells = table.shape[2]
+    block_len = _check_block_len(2 * cells, block_len)
+    rows = (block_len + 1) // 2
+    first = block_len // 2
+    cols = cells - first
+    # G(d) for the cells a < rows of the block and b >= first past it:
+    # d = a - b runs from -(cells - 1) to rows - 1 - first, which is 0 when
+    # the cut splits a cell (odd L) and -1 otherwise.  The odd sublattice's
+    # columns are negated.
+    signed = np.concatenate([-table[:, :, 1:], table[:, :, : rows - first]], axis=2)
+    signed[:, 1] *= -1.0
+    windows = sliding_window_view(signed, cols, axis=2)[:, :, :, ::-1]
+    cross = out[: block_len * (2 * cells - block_len)].reshape(block_len, -1)
+    # Site 2b + t lands in column 2b + t - L, so an odd L leaves out the
+    # cut cell's even site; its odd sublattice then has one row fewer.
+    skip = block_len % 2
+    separation = np.arange(signed.shape[2])
+    mass = 0.0
+    for s in (0, 1):
+        for t in (0, 1):
+            height, start = (block_len + 1 - s) // 2, int(t < skip)
+            cross[s::2, (t - skip) % 2 :: 2] = windows[s, t, :height, start:]
+            # Window a, entry b, holds separation index a + cols - 1 - b.
+            count = (np.minimum(height - 1, separation)
+                     - np.maximum(0, separation - cols + 1 + start) + 1)
+            mass += float((np.maximum(count, 0) * signed[s, t] ** 2).sum())
+    return cross, mass
 
 
 @dataclass(frozen=True)

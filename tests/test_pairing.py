@@ -15,6 +15,7 @@ from kitaevchain.model import ChainParams, momentum_grid
 from kitaevchain.pairing import (
     block_coupling,
     majorana_block,
+    majorana_cross_block,
     majorana_occupations,
     majorana_table,
     pair_amplitudes,
@@ -258,6 +259,12 @@ def test_momentum_block_matches_real_space_correlations(n):
             assert np.abs(block - block.T).max() <= 1e-15, (j_y, h, length)
             err = np.abs(block - reference[:length, :length]).max()
             assert err <= 1e-13, (j_y, h, length, err)
+            # The cross block to the rest of the ring, and its squared
+            # Frobenius norm summed from the table.
+            cross, mass = majorana_cross_block(table, length, np.empty(length * (n - length)))
+            err = np.abs(cross - reference[:length, length:]).max()
+            assert err <= 1e-13, (j_y, h, length, err)
+            assert abs(mass - (cross * cross).sum()) <= 1e-14 * mass, (j_y, h, length)
 
 
 SVD_GRID = [(j_y, h) for j_y in (0.8, 1.0, 1.3) for h in (-5.0, -0.7, 0.0, 0.3, 5.0, 20.0)]
