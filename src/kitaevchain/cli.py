@@ -150,6 +150,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_scan(args) -> int:
     p = _params_from(args)
     if args.axis == "block-len":
+        if args.block_size is not None:
+            raise ParameterError("--block-size applies only to the h-field and jy-over-jx axes")
         rows = entropy_mod.block_entropy_curve(p, _block_lens(args))
     else:
         block_len = p.n_sites // 2 if args.block_size is None else args.block_size

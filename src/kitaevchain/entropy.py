@@ -14,12 +14,13 @@ block_spectra and block_entropy_curve run the momentum route: one table of G
 per chain, then for each block size one of two reductions, picked by a fixed
 flop and size rule.  A short block takes one symmetric eigensolve of its
 L x L block of G D.  A long one takes the few large singular values of its
-L x (N - L) cross block to the rest of the ring, by subspace iteration that
-grows until any mode it missed would fall under NU_FLOOR, and forms no
-L x L problem.  Both the momentum and the reference route hand their
-occupations to schmidt_numbers, which keeps the ones that can be entangled;
-block_entropy and entanglement_spectrum take that occupation array as it is,
-and refuse NaN or any entry outside [0, 1].
+L x (N - L) cross block to the rest of the ring, and forms no L x L
+problem: it checks a certificate on the columns next to the cuts first,
+takes one power step only if that check fails, and grows the subspace until
+any mode it missed would fall under NU_FLOOR.  Both the momentum and the
+reference route hand their occupations to schmidt_numbers, which keeps the
+ones that can be entangled; block_entropy and entanglement_spectrum take
+that occupation array as it is, and refuse NaN or any entry outside [0, 1].
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -57,9 +58,10 @@ START_COLUMNS = 16
 PANEL_ROWS = 32
 
 # The low-rank route's cost per call beyond its products, in flops of the
-# dense route: its two QRs, panel loop and Gram eigensolve took ~0.3 ms on
-# 2 cores (OpenBLAS 0.3.31), where the dense route runs ~1e-10 s per flop.
-# It keeps L = 100 at N = 200 dense, where both routes take about as long.
+# dense route: the two QRs, panel loops and Gram eigensolve of a first round
+# with the power step took ~0.3 ms on 2 cores (OpenBLAS 0.3.31), where the
+# dense route runs ~1e-10 s per flop.  It keeps L = 100 at N = 200 dense,
+# where both routes take about as long.
 LOW_RANK_OVERHEAD = 2.5e6
 
 
@@ -152,10 +154,16 @@ def _low_rank_pays(n_sites: int, block_len: int) -> bool:
     """Whether a block takes the low-rank route: cheaper, and not much bigger.
 
     The dense route's tridiagonalization costs 4 L^3 / 3 flops; the
-    low-rank route's three products with B cost 6 L (N - L) k at the
-    START_COLUMNS = k it starts from, plus LOW_RANK_OVERHEAD.  The cross
-    block B must also hold at most three times the entries of the dense
-    block, so a short block of a long chain never lays out a huge B.
+    low-rank route's first round costs 6 L (N - L) k at the
+    START_COLUMNS = k it starts from, plus LOW_RANK_OVERHEAD.  That is the
+    worst first round, three products with B, on purpose: a gapped block
+    whose certificate passes at once takes only one, but that is known only
+    after the product, and a near-critical block takes all three.  The one-
+    product price would move the N = 200 crossover from L = 136 to 128;
+    L = 100 at N = 200 stays dense under either price.  The cross block B
+    must also hold at most three times the entries of the dense block, so a
+    short block of a long chain never lays out a huge B: that bound, not the
+    price, keeps L = 500 of an N = 100 000 chain dense.
     """
     rest = n_sites - block_len
     dense = 4 * block_len**3 / 3
@@ -181,14 +189,20 @@ def _cross_occupations(cross: np.ndarray, mass: float) -> tuple[np.ndarray, floa
     cancellation.  Only the few modes near the two cuts are entangled, so
     randomized subspace iteration (Halko, Martinsson and Tropp, SIAM Rev. 53,
     217 (2011)) finds them with no L x L eigenproblem.  It starts from the k
-    columns of B next to the two cuts, half each, takes one power step
-    (QR, B^T, B, QR) and reads sigma^2 off the k x k Gram of Q^T B.  By
-    interlacing, the missed mass tau = |B|_F^2 - sum sigma^2 bounds every
-    mode the subspace missed, so k doubles until tau <= 4 NU_FLOOR: a missed
-    mode then has nu <= NU_FLOOR and would count as zero anyway.  The start
-    columns are fixed, so equal input gives bitwise equal output.  mass is
-    |B|_F^2, as majorana_cross_block returns it.  One nu per row of B; past
-    the k found they are zeros.
+    columns of B next to the two cuts, half each, as an orthonormal Q, and
+    reads sigma^2 off the k x k Gram of P = B^T Q.  By interlacing, the
+    missed mass tau = |B|_F^2 - sum sigma^2 bounds every mode the subspace
+    missed; once tau <= 4 NU_FLOOR a missed mode has nu <= NU_FLOOR and
+    would count as zero anyway.  tau needs only the Gram's trace,
+    sum sigma^2 = |P|_F^2, so that one number decides every step, and the
+    Gram is eigensolved once, for the subspace that passes.  When a chain
+    entangles clearly fewer modes than k, the start columns already span
+    them, so one product with B is all it takes.  Only if the certificate
+    fails does it take one power
+    step from that same P (QR of B P, then B^T), and only if that fails too
+    does k double.  The start columns are fixed, so equal input gives
+    bitwise equal output.  mass is |B|_F^2, as majorana_cross_block returns
+    it.  One nu per row of B; past the k found they are zeros.
     """
     rows, cols = cross.shape
     panels = [slice(i, i + PANEL_ROWS) for i in range(0, rows, PANEL_ROWS)]
@@ -206,13 +220,16 @@ def _cross_occupations(cross: np.ndarray, mass: float) -> tuple[np.ndarray, floa
     k = min(START_COLUMNS, full)
     while True:
         near_cuts = np.concatenate([cross[:, : k - k // 2], cross[:, cols - k // 2 :]], axis=1)
-        q = np.linalg.qr(times(adjoint_times(np.linalg.qr(near_cuts)[0])))[0]
-        projected = adjoint_times(q)
-        sigma2 = np.clip(np.linalg.eigvalsh(projected.T @ projected)[::-1], 0.0, 1.0)
-        tau = mass - float(sigma2.sum())
+        projected = adjoint_times(np.linalg.qr(near_cuts)[0])
+        # |P|_F^2 summed by numpy: OpenBLAS runs a dot this long on two threads.
+        tau = mass - float(np.square(projected).sum())
+        if tau > 4.0 * NU_FLOOR:
+            projected = adjoint_times(np.linalg.qr(times(projected))[0])
+            tau = mass - float(np.square(projected).sum())
         if tau <= 4.0 * NU_FLOOR or k == full:
             break
         k = min(2 * k, full)
+    sigma2 = np.clip(np.linalg.eigvalsh(projected.T @ projected)[::-1], 0.0, 1.0)
     nu = np.zeros(rows)
     nu[:k] = sigma2 / (2.0 * (1.0 + np.sqrt(1.0 - sigma2)))
     return nu, tau

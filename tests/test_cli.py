@@ -185,6 +185,17 @@ def test_scan_block_size_defaults_to_half_chain(axis, lo, hi, tmp_path, capsys):
     assert "block_len must lie in [1, 15], got 0" in capsys.readouterr().err
 
 
+def test_block_size_on_the_block_axis_is_a_usage_error(capsys):
+    # The block-len axis sweeps the block itself, so a --block-size there
+    # would be ignored without a word.
+    argv = ["scan", "--axis", "block-len", "--n-sites", "8", "--h-field", "0.5",
+            "--from", "1", "--to", "7", "--step", "1", "--block-size", "3", "--output", "-"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --block-size applies only to the h-field and jy-over-jx axes\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--jx", "nan"), ("--h-field", "inf")])
 @pytest.mark.parametrize("command", [
     ["energy", "--n-sites", "4"],

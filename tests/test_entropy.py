@@ -448,6 +448,43 @@ def test_low_rank_route_is_certified_and_deterministic():
     assert run.stdout.split() == ["False"]
 
 
+def test_gapped_blocks_certify_before_the_power_step(monkeypatch):
+    # A gapped chain entangles only the few modes next to the two cuts, and
+    # the start columns already span them: the certificate passes on the
+    # Rayleigh-Ritz values of those columns alone, so each call takes the
+    # one QR of its start columns and no power step.  (At J_y = 1.3 the
+    # field h = 0.3 entangles 18 modes at L = 500, more than the 16 start
+    # columns can span, so it is left out.)
+    qr_calls = 0
+    qr = np.linalg.qr
+
+    def counted_qr(a):
+        nonlocal qr_calls
+        qr_calls += 1
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+
+    def qr_count(table, length):
+        nonlocal qr_calls
+        qr_calls = 0
+        buffer = np.empty(length * (1000 - length))
+        tau = entropy._cross_occupations(*majorana_cross_block(table, length, buffer))[1]
+        assert tau <= 4.0 * NU_FLOOR, tau
+        return qr_calls
+
+    for j_y in (0.8, 1.3):
+        for h in (-0.7, 5.0):
+            table = majorana_table(ChainParams(1000, 1.0, j_y, h))
+            for length in (250, 499, 500):
+                assert entropy._low_rank_pays(1000, length)
+                assert qr_count(table, length) == 1, (j_y, h, length)
+    # The critical chain entangles more modes than the start columns span,
+    # so it still takes the power step (k only doubles after one fails)
+    # before its certificate passes.
+    assert qr_count(majorana_table(ChainParams(1000, 1.0, 1.0, 0.0)), 500) > 1
+
+
 @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_gapped_chains_match_the_elliptic_ladder(signs):
     # An absolute check past the oracle's sizes, on both routes: a gapped
