@@ -238,6 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream) -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -246,10 +252,12 @@ def main(argv=None) -> int:
     except (KitaevChainError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader left; what is still buffered goes to devnull, so exit is quiet.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
+            _to_devnull(sys.stdout)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except BrokenPipeError:
+            # stderr shares the closed pipe (2>&1): the message goes nowhere.
+            _to_devnull(sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory for this chain: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ L x (N - L) cross block to the rest of the ring, and forms no L x L
 problem: it checks a certificate on the columns next to the cuts first,
 takes one power step only if that check fails, and grows the subspace until
 any mode it missed would fall under NU_FLOOR.  Both the momentum and the
-reference route hand their occupations to schmidt_numbers, which keeps the
-ones that can be entangled; block_entropy and entanglement_spectrum take
-that occupation array as it is, and refuse NaN or any entry outside [0, 1].
+reference route hand each block's nu, one plain array, to schmidt_numbers,
+whose one rule is that floor.  It, block_entropy and entanglement_spectrum
+all refuse NaN or any entry outside [0, 1].
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -34,7 +34,6 @@ import numpy as np
 from .exceptions import ParameterError
 from .model import ChainParams, _index
 from .pairing import (
-    BlockCoupling,
     _check_block_len,
     majorana_block,
     majorana_cross_block,
@@ -60,8 +59,10 @@ PANEL_ROWS = 32
 # The low-rank route's cost per call beyond its products, in flops of the
 # dense route: the two QRs, panel loops and Gram eigensolve of a first round
 # with the power step took ~0.3 ms on 2 cores (OpenBLAS 0.3.31), where the
-# dense route runs ~1e-10 s per flop.  It keeps L = 100 at N = 200 dense,
-# where both routes take about as long.
+# dense route runs ~1e-10 s per flop.  Its effect is to keep short blocks
+# of short chains dense: it moves the N = 200 crossover from L = 90 to 136,
+# so L = 100 at N = 200 stays dense, though there the low-rank route is
+# the faster one (0.58 against 0.83 ms wall per block on 2 cores).
 LOW_RANK_OVERHEAD = 2.5e6
 
 
@@ -73,19 +74,14 @@ class EntanglementSpectrum:
     total_captured: float
 
 
-def schmidt_numbers(c: BlockCoupling) -> np.ndarray:
-    """The entangled modes' occupations from a block's occupations, descending.
+def schmidt_numbers(nu: np.ndarray) -> np.ndarray:
+    """A float copy of a block's occupations nu, every nu below NU_FLOOR set to zero.
 
-    One entry per site of the block.  A pure Gaussian state has at most
-    min(L, N - L) modes with occupation strictly between 0 and 1, so only
-    the min(L, N - L) largest nu are kept; the others, frozen up to
-    rounding, count as exact zeros at the end, and so does any nu below
-    NU_FLOOR.
+    Such a nu is rounding noise on a frozen mode.  A pure state entangles at
+    most min(L, N - L) modes of a block; past half the ring the frozen rest
+    land below the floor on every route, so no other rule is needed.
     """
-    block_len = len(c.occupations)
-    keep = min(block_len, c.n_sites - block_len)
-    nu = np.zeros(block_len)
-    nu[:keep] = c.occupations[:keep]
+    nu = _checked_occupations(nu).astype(float)
     nu[nu < NU_FLOOR] = 0.0
     return nu
 
@@ -262,7 +258,7 @@ def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
     low_rank = [_low_rank_pays(p.n_sites, length) for length in lens]
     dense = iter(_dense_occupations(table, [n for n, low in zip(lens, low_rank) if not low]))
     thin = iter(_low_rank_occupations(table, [n for n, low in zip(lens, low_rank) if low]))
-    return [(length, schmidt_numbers(BlockCoupling(next(thin if low else dense), p.n_sites)))
+    return [(length, schmidt_numbers(next(thin if low else dense)))
             for length, low in zip(lens, low_rank)]
 
 

@@ -7,7 +7,8 @@ sites, so with the sublattice signs D = diag((-1)^j) (0-based sites j)
 D G D = G^T: every leading L x L block of G D is symmetric, and its
 eigenvalues are +-(1 - 2 nu) for the natural-mode occupations nu of a block
 of L sites.  Both routes can lay out that signed block and hand it to
-majorana_occupations, one symmetric eigensolve per block:
+majorana_occupations, one symmetric eigensolve per block, whose plain array
+of nu goes on to bits with no rule but entropy.NU_FLOOR:
 
 - the momentum route (majorana_table, majorana_block) reads G's unitary
   2 x 2 symbol over the two-site unit cell off the dispersion, and one
@@ -36,7 +37,6 @@ majorana_occupations, one symmetric eigensolve per block:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -357,28 +357,12 @@ def majorana_cross_block(
     return cross, mass
 
 
-@dataclass(frozen=True)
-class BlockCoupling:
-    """Cross-block coupling of the exponent in its block-canonical form.
-
-    Rotating to the natural fermionic modes of each side removes every
-    intra-block term from the exponent and leaves sum_n sqrt(eta_n) A+_n B+_n
-    with eta_n = nu_n / (1 - nu_n), one entangled mode pair per nonzero
-    nu_n.  The coupling is diagonal, so it is held by the block's
-    occupations nu_n (descending, as from majorana_occupations) and the
-    chain length, which bounds how many of them can be entangled.
-    """
-
-    occupations: np.ndarray
-    n_sites: int
-
-
-def block_coupling(g: PairingMatrix, block_len: int) -> BlockCoupling:
-    """Canonical cross-block coupling for a bipartition after block_len sites.
+def block_coupling(g: PairingMatrix, block_len: int) -> np.ndarray:
+    """The block's occupations after block_len sites, one plain descending array.
 
     The reference route: the block of G D is laid out from the cached
     eigenpairs of gamma's N/2 x N/2 Hankel block (see _reference_block) and
     goes through majorana_occupations.  No N x N array is formed.
     """
     _check_block_len(g.n_sites, block_len)
-    return BlockCoupling(majorana_occupations(_reference_block(g, block_len)), g.n_sites)
+    return majorana_occupations(_reference_block(g, block_len))

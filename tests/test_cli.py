@@ -423,21 +423,28 @@ def test_unwritable_output_is_usage_error(target, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("top_k,header", [(20000, True), (4, False)])
-def test_closed_pipe_is_usage_error(top_k, header, tmp_path):
+@pytest.mark.parametrize("top_k,header,merged", [(20000, True, False), (4, False, False),
+                                                 (20000, True, True)],
+                         ids=["20000-True", "4-False", "20000-True-merged"])
+def test_closed_pipe_is_usage_error(top_k, header, merged, tmp_path):
     # The reader takes the header and leaves, as `| head -1` does, or leaves
     # before the rows fit in one buffer; what is still buffered must not
     # surface at exit either, so stdout is block-buffered as in a shell.
+    # With stderr on the same pipe (`2>&1 | head -1`) the error message has
+    # nowhere to go, and the exit code must still be 2.
     args = ["spectrum", "--n-sites", "40", "--h-field", "0.1", "--block-size", "20",
             "--top-k", str(top_k)]
     env = {k: v for k, v in _env().items() if k != "PYTHONUNBUFFERED"}
+    stderr = subprocess.STDOUT if merged else subprocess.PIPE
     with subprocess.Popen([sys.executable, "-m", "kitaevchain", *args], env=env, cwd=tmp_path,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                          stdout=subprocess.PIPE, stderr=stderr) as proc:
         if header:
             assert proc.stdout.readline() == b"rank,lambda_value,cumulative_weight\n"
         proc.stdout.close()
-        err = proc.stderr.read().decode()
+        err = "" if merged else proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 2
+    if merged:
+        return
     assert err.startswith("error: [Errno 32] Broken pipe")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err and "Exception ignored" not in err

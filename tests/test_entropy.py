@@ -20,9 +20,10 @@ from kitaevchain.entropy import (
 from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import ChainParams
 from kitaevchain.pairing import (
-    BlockCoupling,
     block_coupling,
+    majorana_block,
     majorana_cross_block,
+    majorana_occupations,
     majorana_table,
     real_space_gamma,
 )
@@ -115,7 +116,8 @@ def test_spectrum_count_validated():
 @pytest.mark.parametrize("reduce", [
     block_entropy,
     lambda nu: entanglement_spectrum(nu, 4),
-], ids=["block_entropy", "entanglement_spectrum"])
+    schmidt_numbers,
+], ids=["block_entropy", "entanglement_spectrum", "schmidt_numbers"])
 def test_occupations_outside_unit_interval_rejected(reduce):
     # A NaN or an occupation outside [0, 1] is an error, not a frozen mode.
     for bad in (np.nan, 1.5, -0.1):
@@ -223,15 +225,52 @@ def test_curve_preserves_request_order():
 
 
 def test_occupation_spectrum_odds_and_frozen_modes():
-    s = schmidt_numbers(BlockCoupling(np.array([0.5, 0.25, 1e-30]), 8))
+    s = schmidt_numbers(np.array([0.5, 0.25, 1e-30]))
     assert np.array_equal(s, [0.5, 0.25, 0.0])
     # Occupations below the floor are rounding noise and count as zeros.
     nu = np.array([0.5, NU_FLOOR, 0.99 * NU_FLOOR])
-    s = schmidt_numbers(BlockCoupling(nu, 8))
+    s = schmidt_numbers(nu)
     assert np.array_equal(s, [0.5, NU_FLOOR, 0.0])
-    # Past half the chain only min(L, N - L) modes can be entangled.
-    s = schmidt_numbers(BlockCoupling(np.array([0.5, 0.25, 0.1]), 4))
-    assert np.array_equal(s, [0.5, 0.0, 0.0])
+    assert np.array_equal(nu, [0.5, NU_FLOOR, 0.99 * NU_FLOOR])
+
+
+def _frozen_past_the_cut(nu: np.ndarray, n_sites: int) -> None:
+    # A pure state entangles at most min(L, N - L) modes of a block of L
+    # sites; past half the ring the 2L - N smallest nu are frozen modes.
+    frozen = np.sort(nu)[: 2 * len(nu) - n_sites]
+    assert frozen.max(initial=0.0) < NU_FLOOR, frozen.max()
+    assert np.count_nonzero(schmidt_numbers(nu)) <= n_sites - len(nu)
+
+
+def test_the_floor_leaves_at_most_min_l_n_minus_l_modes():
+    # The floor alone zeroes the frozen modes of a block past half the ring,
+    # on all three routes, so schmidt_numbers needs no min(L, N - L) rule.
+    # The dense and reference routes leave them at rounding noise (7.4e-15
+    # at most, measured over every L > N/2 at N = 200 and the whole grid);
+    # the low-rank route finds at most k <= min(L, N - L) nonzero nu by
+    # construction.  Each point at N = 200 costs two eigensolves per length,
+    # so it takes h = 20 only, where both the dense and the reference route
+    # came out noisiest at J_x = 1.
+    points = [(12, j_x, j_y, h) for j_x in GRID_JX for j_y in GRID_JY for h in GRID_H]
+    points += [(200, 1.0, j_y, 20.0) for j_y in GRID_JY]
+    for n, j_x, j_y, h in points:
+        p = ChainParams(n, j_x, j_y, h)
+        table, g = majorana_table(p), real_space_gamma(p)
+        block, buffer = majorana_block(table, n - 1), np.empty(n * n)
+        for length in range(n // 2 + 1, n):
+            _frozen_past_the_cut(majorana_occupations(block[:length, :length]), n)
+            cross = majorana_cross_block(table, length, buffer)
+            _frozen_past_the_cut(entropy._cross_occupations(*cross)[0], n)
+            _frozen_past_the_cut(block_coupling(g, length), n)
+    # At N = 1000 block_spectra puts these lengths on the low-rank route;
+    # the dense route, forced, leaves the most frozen modes at L = 999.
+    p = ChainParams(1000, 1.0, 1.0, 0.0)
+    lens = [501, 750, 999]
+    block = majorana_block(majorana_table(p), max(lens))
+    for length, nu in block_spectra(p, lens):
+        assert entropy._low_rank_pays(1000, length)
+        _frozen_past_the_cut(nu, 1000)
+        _frozen_past_the_cut(majorana_occupations(block[:length, :length]), 1000)
 
 
 def test_block_spectra_match_reference_route():
@@ -387,8 +426,8 @@ def test_jin_korepin_constant_matches_its_integral():
     assert abs(float(upsilon) - UPSILON_1) <= 1e-16
 
 
-def _bits(nu: np.ndarray, n_sites: int) -> float:
-    return block_entropy(schmidt_numbers(BlockCoupling(nu, n_sites)))
+def _bits(nu: np.ndarray) -> float:
+    return block_entropy(schmidt_numbers(nu))
 
 
 @functools.cache
@@ -399,7 +438,7 @@ def _both_routes(n_sites: int, j_x: float, j_y: float, h: float, lens: tuple) ->
     rows = []
     for length, dense in zip(lens, entropy._dense_occupations(table, list(lens))):
         low_rank, tau = entropy._cross_occupations(*majorana_cross_block(table, length, buffer))
-        rows.append((_bits(dense, n_sites), _bits(low_rank, n_sites), tau))
+        rows.append((_bits(dense), _bits(low_rank), tau))
     return rows
 
 

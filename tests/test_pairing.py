@@ -137,23 +137,21 @@ def test_gamma_strong_field_suppression():
 
 def test_coupling_zero_gamma():
     g = real_space_gamma(ChainParams(8, 0.0, 0.0, 1.0))
-    c = block_coupling(g, 3)
-    assert c.n_sites == 8
-    assert c.occupations.shape == (3,)
-    assert np.abs(c.occupations).max() < 1e-14
-    assert np.array_equal(schmidt_numbers(c), np.zeros(3))
+    nu = block_coupling(g, 3)
+    assert nu.shape == (3,)
+    assert np.abs(nu).max() < 1e-14
+    assert np.array_equal(schmidt_numbers(nu), np.zeros(3))
 
 
 def test_coupling_shapes_and_finiteness():
     g = real_space_gamma(ChainParams(8, 1.0, 0.8, 0.5))
     for length in range(1, 8):
-        c = block_coupling(g, length)
-        assert c.occupations.shape == (length,)
-        assert c.n_sites == 8
-        assert np.all(np.isfinite(c.occupations))
-        assert np.all((c.occupations >= 0.0) & (c.occupations <= 0.5))
+        nu = block_coupling(g, length)
+        assert nu.shape == (length,)
+        assert np.all(np.isfinite(nu))
+        assert np.all((nu >= 0.0) & (nu <= 0.5))
         # A cut leaves at most min(L, N - L) entangled mode pairs.
-        assert np.count_nonzero(schmidt_numbers(c)) <= min(length, 8 - length)
+        assert np.count_nonzero(schmidt_numbers(nu)) <= min(length, 8 - length)
 
 
 def test_coupling_block_length_validated():
@@ -164,14 +162,13 @@ def test_coupling_block_length_validated():
     for bad in (2.5, 2.0):
         with pytest.raises(ParameterError, match="block_len must be an integer"):
             block_coupling(g, bad)
-    assert np.array_equal(block_coupling(g, np.int64(3)).occupations,
-                          block_coupling(g, 3).occupations)
+    assert np.array_equal(block_coupling(g, np.int64(3)), block_coupling(g, 3))
 
 
 def test_occupations_bounded_and_sorted():
     g = real_space_gamma(ChainParams(12, 1.0, 0.8, 0.5))
     for length in (1, 3, 6, 9):
-        nu = block_coupling(g, length).occupations
+        nu = block_coupling(g, length)
         assert nu.shape == (length,)
         assert nu.min() >= 0.0
         assert nu.max() <= 1.0
@@ -179,7 +176,7 @@ def test_occupations_bounded_and_sorted():
 
 
 def test_occupations_product_state():
-    nu = block_coupling(real_space_gamma(ChainParams(8, 0.0, 0.0, 1.0)), 4).occupations
+    nu = block_coupling(real_space_gamma(ChainParams(8, 0.0, 0.0, 1.0)), 4)
     assert np.abs(nu).max() < 1e-14
 
 
@@ -420,7 +417,7 @@ def test_momentum_occupations_match_reference_route():
     table = majorana_table(p)
     for length in (1, 7, 20, 39):
         fast = majorana_occupations(majorana_block(table, length))
-        assert np.abs(fast - block_coupling(g, length).occupations).max() < 1e-13
+        assert np.abs(fast - block_coupling(g, length)).max() < 1e-13
         assert fast.min() >= 0.0 and fast.max() <= 0.5
 
 
