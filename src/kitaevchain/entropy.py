@@ -10,14 +10,17 @@ eigenvalues are products of one weight per mode, and the entropy is the sum
 of binary entropies H(nu_n).  No Schmidt numbers eta = nu / (1 - nu) are
 formed: the way back to the weights would only add rounding.
 
-block_spectra and block_entropy_curve run the momentum route: one table of G
-per chain, then for each block size one of two reductions, picked by a fixed
-flop and size rule.  A short block takes one symmetric eigensolve of its
-L x L block of G D.  A long one takes the few large singular values of its
-L x (N - L) cross block to the rest of the ring, and forms no L x L
-problem: it checks a certificate on the columns next to the cuts first,
-takes one power step only if that check fails, and grows the subspace until
-any mode it missed would fall under NU_FLOOR.  Both the momentum and the
+block_spectra and block_entropy_curve run the momentum route: one row of
+G D per sublattice per chain (pairing.signed_rows), then for each block size
+one of two reductions, picked by a fixed flop and size rule, on blocks that
+pairing.majorana_rows lays out from those rows.  A short block takes one
+symmetric eigensolve of its L x L block A of G D.  A long one takes the few
+large singular values of its L x (N - L) cross block to the rest of the
+ring, and forms no L x L problem: it checks a certificate on the columns
+next to the cuts first, takes one power step only if that check fails, and
+grows the subspace until any mode it missed would fall under NU_FLOOR.  It
+takes the modes nearest nu = 1/2 from A projected on their Ritz vectors,
+laid out a panel at a time.  Both the momentum and the
 reference route hand each block's nu, one plain array, to schmidt_numbers,
 whose one rule is that floor.  It, block_entropy and entanglement_spectrum
 all refuse NaN or any entry outside [0, 1].
@@ -35,10 +38,11 @@ from .exceptions import ParameterError
 from .model import ChainParams, _index
 from .pairing import (
     _check_block_len,
-    majorana_block,
-    majorana_cross_block,
+    cross_mass,
     majorana_occupations,
+    majorana_rows,
     majorana_table,
+    signed_rows,
 )
 
 # Occupations below this are eigensolver rounding noise on frozen modes and
@@ -167,15 +171,9 @@ def _low_rank_pays(n_sites: int, block_len: int) -> bool:
     return rest <= 3 * block_len and dense > low_rank
 
 
-def _dense_occupations(table: np.ndarray, lens: list[int]) -> list[np.ndarray]:
-    """Each length's occupations from a leading slice of the largest block of G D."""
-    if not lens:
-        return []
-    block = majorana_block(table, max(lens))
-    return [majorana_occupations(block[:length, :length]) for length in lens]
-
-
-def _cross_occupations(cross: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
+def _cross_occupations(
+    cross: np.ndarray, mass: float, signed: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Occupations of a block from its cross block B, descending, and the missed mass tau.
 
     G D is orthogonal because the state is pure, so its rows through the
@@ -194,11 +192,14 @@ def _cross_occupations(cross: np.ndarray, mass: float) -> tuple[np.ndarray, floa
     Gram is eigensolved once, for the subspace that passes.  When a chain
     entangles clearly fewer modes than k, the start columns already span
     them, so one product with B is all it takes.  Only if the certificate
-    fails does it take one power
-    step from that same P (QR of B P, then B^T), and only if that fails too
-    does k double.  The start columns are fixed, so equal input gives
-    bitwise equal output.  mass is |B|_F^2, as majorana_cross_block returns
-    it.  One nu per row of B; past the k found they are zeros.
+    fails does it take one power step from that same P (QR of B P, then
+    B^T), and only if that fails too does k double.  Near nu = 1/2, where
+    sqrt(1 - sigma^2) = |lambda| keeps half its digits, nu comes from the
+    eigenvalues of U^T A U over those modes' Ritz vectors U (one quotient
+    per mode would mix an even L's +-lambda pairs), A laid out from signed
+    a column panel at a time.  The start columns are fixed, so equal input
+    gives bitwise equal output.  mass is |B|_F^2 (pairing.cross_mass).  One
+    nu per row of B; past the k found they are zeros.
     """
     rows, cols = cross.shape
     panels = [slice(i, i + PANEL_ROWS) for i in range(0, rows, PANEL_ROWS)]
@@ -216,50 +217,61 @@ def _cross_occupations(cross: np.ndarray, mass: float) -> tuple[np.ndarray, floa
     k = min(START_COLUMNS, full)
     while True:
         near_cuts = np.concatenate([cross[:, : k - k // 2], cross[:, cols - k // 2 :]], axis=1)
-        projected = adjoint_times(np.linalg.qr(near_cuts)[0])
+        basis = np.linalg.qr(near_cuts)[0]
+        projected = adjoint_times(basis)
         # |P|_F^2 summed by numpy: OpenBLAS runs a dot this long on two threads.
         tau = mass - float(np.square(projected).sum())
         if tau > 4.0 * NU_FLOOR:
-            projected = adjoint_times(np.linalg.qr(times(projected))[0])
+            basis = np.linalg.qr(times(projected))[0]
+            projected = adjoint_times(basis)
             tau = mass - float(np.square(projected).sum())
         if tau <= 4.0 * NU_FLOOR or k == full:
             break
         k = min(2 * k, full)
-    sigma2 = np.clip(np.linalg.eigvalsh(projected.T @ projected)[::-1], 0.0, 1.0)
+    gram = projected.T @ projected
+    sigma2 = np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, 1.0)
+    root = np.sqrt(1.0 - sigma2)
     nu = np.zeros(rows)
-    nu[:k] = sigma2 / (2.0 * (1.0 + np.sqrt(1.0 - sigma2)))
+    nu[:k] = sigma2 / (2.0 * (1.0 + root))
+    # Rounding sigma^2 by eps moves nu by eps / (4 root): past NU_FLOOR, refine.
+    near = int(np.count_nonzero(root < np.finfo(float).eps / (4.0 * NU_FLOOR)))
+    if near:
+        ritz = basis @ np.linalg.eigh(gram)[1][:, k - near :]
+        block_ritz = np.concatenate([
+            majorana_rows(signed, rows, panel.start, min(panel.stop, rows)).T @ ritz
+            for panel in panels])
+        lam = np.linalg.eigvalsh(ritz.T @ block_ritz)
+        nu[:k] = np.sort(np.concatenate([0.5 * (1.0 - np.abs(lam)), nu[near:k]]))[::-1]
     return nu, tau
-
-
-def _low_rank_occupations(table: np.ndarray, lens: list[int]) -> list[np.ndarray]:
-    """Each length's occupations from its cross block, laid out in one shared buffer."""
-    if not lens:
-        return []
-    n_sites = 2 * table.shape[2]
-    buffer = np.empty(max(length * (n_sites - length) for length in lens))
-    return [_cross_occupations(*majorana_cross_block(table, length, buffer))[0]
-            for length in lens]
 
 
 def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
     """Entangled-mode occupations of the first L sites for each requested L, in order.
 
-    One table of G serves every block size.  Each size takes one of two
-    routes, by _low_rank_pays: the dense route reads the eigenvalues of
-    a leading slice of one block of G D, as large as the largest length it
-    serves; the low-rank route reads the singular values of the block's
-    cross block to the rest of the ring.  The dense block is gone before
-    the cross blocks' buffer is made.
+    One signed_rows array of G D serves every block size.  Each size takes
+    one of two routes, by _low_rank_pays: the dense route reads the
+    eigenvalues of a leading slice of one block of G D, as large as the
+    largest length it serves; the low-rank route reads the singular values
+    of the block's cross block to the rest of the ring, laid out in one
+    shared buffer.  The dense block is gone before that buffer is made, and
+    the buffer before the occupations are copied.
     """
     lens = [_check_block_len(p.n_sites, length) for length in block_lens]
     if not lens:
         return []
-    table = majorana_table(p)
-    low_rank = [_low_rank_pays(p.n_sites, length) for length in lens]
-    dense = iter(_dense_occupations(table, [n for n, low in zip(lens, low_rank) if not low]))
-    thin = iter(_low_rank_occupations(table, [n for n, low in zip(lens, low_rank) if low]))
-    return [(length, schmidt_numbers(next(thin if low else dense)))
-            for length, low in zip(lens, low_rank)]
+    rows = signed_rows(majorana_table(p))
+    low_rank = {length: _low_rank_pays(p.n_sites, length) for length in lens}
+    dense = [length for length, low in low_rank.items() if not low]
+    block = majorana_rows(rows, max(dense), 0, max(dense)) if dense else None
+    nus = {length: majorana_occupations(block[:length, :length]) for length in dense}
+    del block
+    thin = [length for length, low in low_rank.items() if low]
+    buffer = np.empty(max((length * (p.n_sites - length) for length in thin), default=0))
+    for length in thin:
+        cross = majorana_rows(rows, length, length, p.n_sites, buffer)
+        nus[length] = _cross_occupations(cross, cross_mass(rows, length), rows)[0]
+    buffer = cross = None
+    return [(length, schmidt_numbers(nus[length])) for length in lens]
 
 
 def block_entropy_curve(p: ChainParams, block_lens) -> list[tuple[int, float]]:

@@ -10,15 +10,14 @@ of L sites.  Both routes can lay out that signed block and hand it to
 majorana_occupations, one symmetric eigensolve per block, whose plain array
 of nu goes on to bits with no rule but entropy.NU_FLOOR:
 
-- the momentum route (majorana_table, majorana_block) reads G's unitary
-  2 x 2 symbol over the two-site unit cell off the dispersion, and one
-  inverse FFT of length N/2 turns it into one table of G per cell
-  separation, in O(N log N) time and O(N) memory.  From the table it lays
-  out either the L x L block, for an O(L^3) eigensolve, or the
-  L x (N - L) cross block to the rest of the ring (majorana_cross_block),
-  whose few large singular values give the same nu in O(L (N - L)) time
-  per subspace column; entropy.block_spectra picks one per block size and
-  feeds the entropy pipeline;
+- the momentum route (majorana_table, signed_rows, majorana_rows) reads
+  G's unitary 2 x 2 symbol over the two-site cell off the dispersion; one
+  inverse FFT of length N/2 gives a table of G per cell separation, in
+  O(N log N) time and O(N) memory, and signed, one row of G D per
+  sublattice.  Reversed windows of those rows lay out the L x L block, for
+  an O(L^3) eigensolve, or the L x (N - L) cross block to the rest of the
+  ring, whose few large singular values give the same nu in O(L (N - L))
+  time per subspace column; entropy.block_spectra picks one per block size;
 - the paper's construction (real_space_gamma, block_coupling,
   pair_correlations) writes the ground state as exp(Z) on the fermion
   vacuum, Z = sum_{l<m} z_{lm} c+_l c+_m, through the momentum pair
@@ -294,67 +293,55 @@ def majorana_table(p: ChainParams) -> np.ndarray:
     return (half_shift * np.fft.ifft(symbols)).real
 
 
-def majorana_block(table: np.ndarray, block_len: int) -> np.ndarray:
-    """The leading block_len x block_len block of G D, from a majorana_table.
+def signed_rows(table: np.ndarray) -> np.ndarray:
+    """G D along a row, one row of 2N - 2 entries per sublattice, from a majorana_table.
 
-    D = diag((-1)^j) signs the columns by sublattice, which makes the block
-    symmetric (see majorana_occupations).  Every leading block of this block
-    is the matching block of G D, so one call serves every smaller block
-    size.
+    Row 2a + s of G D is rows[s, 2a + N - 1 - j] over the columns j, a
+    reversed window that starts at 2a.  Entries 2m and 2m + 1 are the odd
+    and even sublattice's columns at cell separation m + 1 - N/2, with the
+    antiperiodic sign G(d) = -G(d + N/2) below d = 0 and D's sign applied.
     """
-    cells = table.shape[2]
-    _check_block_len(2 * cells, block_len)
-    k = (block_len + 1) // 2
-    # G(d) for d = -(k - 1) .. k - 1 along the last axis, with the odd
-    # sublattice's columns negated; a sliding window, reversed, lays it out
-    # as the Toeplitz blocks [s, t, a, b] = (-1)^t G_st(a - b).
-    signed = np.concatenate([-table[:, :, cells - k + 1 :], table[:, :, :k]], axis=2)
-    signed[:, 1] *= -1.0
-    blocks = sliding_window_view(signed, k, axis=2)[:, :, :, ::-1]
-    return blocks.transpose(2, 0, 3, 1).reshape(2 * k, 2 * k)[:block_len, :block_len]
+    signed = np.concatenate([-table[:, :, 1:], table], axis=2) * np.array([[1.0], [-1.0]])
+    return signed[:, ::-1].transpose(0, 2, 1).reshape(2, -1)
 
 
-def majorana_cross_block(
-    table: np.ndarray, block_len: int, out: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The cross block B = (G D)[:L, L:] from a majorana_table, and |B|_F^2.
+def majorana_rows(
+    rows: np.ndarray, block_len: int, start: int, stop: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(G D)[:block_len, start:stop] from a signed_rows array.
 
-    Rows are the block's L sites and columns the other N - L sites of the
-    ring, in site order.  B is written into the flat float buffer out,
-    which must hold L (N - L) entries, and returned as a view of it.  As in
-    majorana_block, reversed sliding windows lay out each pair of
-    sublattices as a Toeplitz block in the cell separation.  The squared
-    Frobenius norm is summed from the table instead, each separation's
-    square weighted by how often B holds it: a sum of positive terms, exact
-    to relative rounding.
+    The block's rows of one sublattice are reversed sliding windows of its
+    row of signed_rows, two sites apart, so each sublattice is one write.
+    Columns 0 to L give the symmetric L x L block A of majorana_occupations,
+    whose leading slices are the smaller blocks, and L to N the cross block
+    B to the rest of the ring.  With out, a flat float buffer of at least
+    block_len (stop - start) entries, the result is a view of it.
     """
-    cells = table.shape[2]
-    block_len = _check_block_len(2 * cells, block_len)
-    rows = (block_len + 1) // 2
-    first = block_len // 2
-    cols = cells - first
-    # G(d) for the cells a < rows of the block and b >= first past it:
-    # d = a - b runs from -(cells - 1) to rows - 1 - first, which is 0 when
-    # the cut splits a cell (odd L) and -1 otherwise.  The odd sublattice's
-    # columns are negated.
-    signed = np.concatenate([-table[:, :, 1:], table[:, :, : rows - first]], axis=2)
-    signed[:, 1] *= -1.0
-    windows = sliding_window_view(signed, cols, axis=2)[:, :, :, ::-1]
-    cross = out[: block_len * (2 * cells - block_len)].reshape(block_len, -1)
-    # Site 2b + t lands in column 2b + t - L, so an odd L leaves out the
-    # cut cell's even site; its odd sublattice then has one row fewer.
-    skip = block_len % 2
-    separation = np.arange(signed.shape[2])
-    mass = 0.0
+    n_sites = rows.shape[1] // 2 + 1
+    block_len = _check_block_len(n_sites, block_len)
+    start, stop = _index("start", start), _index("stop", stop)
+    if not 0 <= start < stop <= n_sites:
+        raise ParameterError(f"columns [{start}, {stop}) must lie in [0, {n_sites}]")
+    width = stop - start
+    block = (np.empty((block_len, width)) if out is None
+             else out[: block_len * width].reshape(block_len, width))
     for s in (0, 1):
-        for t in (0, 1):
-            height, start = (block_len + 1 - s) // 2, int(t < skip)
-            cross[s::2, (t - skip) % 2 :: 2] = windows[s, t, :height, start:]
-            # Window a, entry b, holds separation index a + cols - 1 - b.
-            count = (np.minimum(height - 1, separation)
-                     - np.maximum(0, separation - cols + 1 + start) + 1)
-            mass += float((np.maximum(count, 0) * signed[s, t] ** 2).sum())
-    return cross, mass
+        windows = sliding_window_view(rows[s], width)[n_sites - stop :: 2, ::-1]
+        block[s::2] = windows[: (block_len + 1 - s) // 2]
+    return block
+
+
+def cross_mass(rows: np.ndarray, block_len: int) -> float:
+    """|B|_F^2 for the cross block B = majorana_rows(rows, L, L, N).
+
+    Row 2a + s of B is the window rows[s, 2a : 2a + N - L], so each entry's
+    square is weighted by how many of the block's rows of its sublattice
+    cover it: a sum of positive terms, exact to relative rounding.
+    """
+    k, last = np.arange(rows.shape[1]), rows.shape[1] // 2  # last = N - 1
+    heights = np.array([[(block_len + 1) // 2], [block_len // 2]])
+    count = np.minimum(heights - 1, k // 2) - np.maximum(0, (k - last + block_len + 1) // 2) + 1
+    return float((np.maximum(count, 0) * rows**2).sum())
 
 
 def block_coupling(g: PairingMatrix, block_len: int) -> np.ndarray:

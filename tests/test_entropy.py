@@ -21,11 +21,12 @@ from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import ChainParams
 from kitaevchain.pairing import (
     block_coupling,
-    majorana_block,
-    majorana_cross_block,
+    cross_mass,
     majorana_occupations,
+    majorana_rows,
     majorana_table,
     real_space_gamma,
+    signed_rows,
 )
 
 # Jin and Korepin's constant for the critical chain, J. Stat. Phys. 116, 79
@@ -255,18 +256,19 @@ def test_the_floor_leaves_at_most_min_l_n_minus_l_modes():
     points += [(200, 1.0, j_y, 20.0) for j_y in GRID_JY]
     for n, j_x, j_y, h in points:
         p = ChainParams(n, j_x, j_y, h)
-        table, g = majorana_table(p), real_space_gamma(p)
-        block, buffer = majorana_block(table, n - 1), np.empty(n * n)
+        rows, g = signed_rows(majorana_table(p)), real_space_gamma(p)
+        block, buffer = majorana_rows(rows, n - 1, 0, n - 1), np.empty(n * n)
         for length in range(n // 2 + 1, n):
             _frozen_past_the_cut(majorana_occupations(block[:length, :length]), n)
-            cross = majorana_cross_block(table, length, buffer)
-            _frozen_past_the_cut(entropy._cross_occupations(*cross)[0], n)
+            cross = majorana_rows(rows, length, length, n, buffer)
+            nu = entropy._cross_occupations(cross, cross_mass(rows, length), rows)[0]
+            _frozen_past_the_cut(nu, n)
             _frozen_past_the_cut(block_coupling(g, length), n)
     # At N = 1000 block_spectra puts these lengths on the low-rank route;
     # the dense route, forced, leaves the most frozen modes at L = 999.
     p = ChainParams(1000, 1.0, 1.0, 0.0)
     lens = [501, 750, 999]
-    block = majorana_block(majorana_table(p), max(lens))
+    block = majorana_rows(signed_rows(majorana_table(p)), max(lens), 0, max(lens))
     for length, nu in block_spectra(p, lens):
         assert entropy._low_rank_pays(1000, length)
         _frozen_past_the_cut(nu, 1000)
@@ -426,20 +428,22 @@ def test_jin_korepin_constant_matches_its_integral():
     assert abs(float(upsilon) - UPSILON_1) <= 1e-16
 
 
-def _bits(nu: np.ndarray) -> float:
-    return block_entropy(schmidt_numbers(nu))
-
-
 @functools.cache
 def _both_routes(n_sites: int, j_x: float, j_y: float, h: float, lens: tuple) -> list:
-    """(dense bits, low-rank bits, tau) per length, each route forced."""
-    table = majorana_table(ChainParams(n_sites, j_x, j_y, h))
-    buffer = np.empty(max(length * (n_sites - length) for length in lens))
-    rows = []
-    for length, dense in zip(lens, entropy._dense_occupations(table, list(lens))):
-        low_rank, tau = entropy._cross_occupations(*majorana_cross_block(table, length, buffer))
-        rows.append((_bits(dense), _bits(low_rank), tau))
-    return rows
+    """(dense bits, low-rank bits, tau, dense nu, low-rank nu) per length, each route forced.
+
+    Both nu arrays are floored by schmidt_numbers.
+    """
+    rows = signed_rows(majorana_table(ChainParams(n_sites, j_x, j_y, h)))
+    block = majorana_rows(rows, max(lens), 0, max(lens))
+    out = []
+    for length in lens:
+        dense = schmidt_numbers(majorana_occupations(block[:length, :length]))
+        cross = majorana_rows(rows, length, length, n_sites)
+        low_rank, tau = entropy._cross_occupations(cross, cross_mass(rows, length), rows)
+        low_rank = schmidt_numbers(low_rank)
+        out.append((block_entropy(dense), block_entropy(low_rank), tau, dense, low_rank))
+    return out
 
 
 def _route_grid():
@@ -458,19 +462,23 @@ def _route_grid():
 def test_routes_agree_over_the_error_budget_grid():
     # The low-rank route reads nu off the cross block's singular values, the
     # dense route off the block's eigenvalues, both from the same table, at
-    # L = N/4, N/2 - 1 and N/2.
-    worst = 0.0
+    # L = N/4, N/2 - 1 and N/2.  Mode by mode too: near nu = 1/2 the
+    # low-rank route reads |lambda| off A over its Ritz vectors, since
+    # sqrt(1 - sigma^2) there keeps only half its digits.
+    worst = worst_nu = 0.0
     for point in _route_grid():
-        for dense, low_rank, _ in _both_routes(*point):
+        for dense, low_rank, _, dense_nu, low_rank_nu in _both_routes(*point):
             worst = max(worst, abs(dense - low_rank))
+            worst_nu = max(worst_nu, np.abs(dense_nu - low_rank_nu).max())
     assert worst <= 1e-12, worst
+    assert worst_nu <= 1e-13, worst_nu
 
 
 def test_low_rank_route_is_certified_and_deterministic():
     # The missed mass tau bounds every mode the subspace left out; it must be
     # under 4 NU_FLOOR on every call, so a missed mode has nu <= NU_FLOOR.
     for point in _route_grid():
-        for _, _, tau in _both_routes(*point):
+        for _, _, tau, *_ in _both_routes(*point):
             assert tau <= 4.0 * NU_FLOOR, (point, tau)
     # The start columns are fixed, so repeated calls agree bit for bit.
     p = ChainParams(1000, 1.0, 1.0, 0.0)
@@ -507,8 +515,9 @@ def test_gapped_blocks_certify_before_the_power_step(monkeypatch):
     def qr_count(table, length):
         nonlocal qr_calls
         qr_calls = 0
-        buffer = np.empty(length * (1000 - length))
-        tau = entropy._cross_occupations(*majorana_cross_block(table, length, buffer))[1]
+        rows = signed_rows(table)
+        cross = majorana_rows(rows, length, length, 1000)
+        tau = entropy._cross_occupations(cross, cross_mass(rows, length), rows)[1]
         assert tau <= 4.0 * NU_FLOOR, tau
         return qr_calls
 
@@ -522,6 +531,24 @@ def test_gapped_blocks_certify_before_the_power_step(monkeypatch):
     # so it still takes the power step (k only doubles after one fails)
     # before its certificate passes.
     assert qr_count(majorana_table(ChainParams(1000, 1.0, 1.0, 0.0)), 500) > 1
+
+
+@pytest.mark.parametrize("j_y", [0.8, -1.3])
+def test_dimer_chain_is_exact_on_both_routes(j_y):
+    # With J_x = h = 0 the ground state is a product of y dimers, each
+    # sharing one bit, and a block's only entangled modes sit at nu = 1/2,
+    # one per y bond it cuts: the ring's closing bond and, at even L, the
+    # bond after the block.  There sigma^2 = 1, where the low-rank formula
+    # keeps half its digits; the Ritz step must bring those modes back.
+    lens = (200, 201, 499, 500)
+    for length, row in zip(lens, _both_routes(1000, 0.0, j_y, 0.0, lens)):
+        bits, cut = row[:2], 2 - length % 2
+        for nu in row[3:]:
+            assert np.minimum(nu, np.abs(nu - 0.5)).max() <= 1e-15, (length, nu[:4])
+            spectrum = entanglement_spectrum(nu, 8).lambdas
+            assert len(spectrum) == 2**cut, (length, spectrum)
+            assert np.abs(spectrum * 2**cut - 1.0).max() <= 1e-15, (length, spectrum)
+        assert bits == (cut, cut), (length, bits)
 
 
 @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
@@ -542,7 +569,7 @@ def test_gapped_chains_match_the_elliptic_ladder(signs):
             j_x, j_y_signed = float(signs[0]), signs[1] * j_y
             lens = (250, 499, 500) if j_y_signed > 0 else (499, 500)
             rows = _both_routes(1000, j_x, j_y_signed, h, lens)
-            for length, (dense, low_rank, _) in zip(lens, rows):
+            for length, (dense, low_rank, *_) in zip(lens, rows):
                 closed = block_entropy_closed(j_x, j_y_signed, h, length)
                 worst = max(worst, abs(dense - closed), abs(low_rank - closed))
     assert worst <= 1e-12, worst

@@ -14,13 +14,14 @@ from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import ChainParams, momentum_grid
 from kitaevchain.pairing import (
     block_coupling,
-    majorana_block,
-    majorana_cross_block,
+    cross_mass,
     majorana_occupations,
+    majorana_rows,
     majorana_table,
     pair_amplitudes,
     pair_correlations,
     real_space_gamma,
+    signed_rows,
 )
 
 
@@ -250,15 +251,17 @@ def test_momentum_block_matches_real_space_correlations(n):
         assert np.array_equal(reference, reference.T), (j_y, h)
         table = majorana_table(p)
         assert table.shape == (2, 2, n // 2)
+        rows = signed_rows(table)
         for length in (1, 2, n // 2, n - 1):
-            block = majorana_block(table, length)
+            block = majorana_rows(rows, length, 0, length)
             assert block.shape == (length, length)
             assert np.abs(block - block.T).max() <= 1e-15, (j_y, h, length)
             err = np.abs(block - reference[:length, :length]).max()
             assert err <= 1e-13, (j_y, h, length, err)
             # The cross block to the rest of the ring, and its squared
             # Frobenius norm summed from the table.
-            cross, mass = majorana_cross_block(table, length, np.empty(length * (n - length)))
+            cross = majorana_rows(rows, length, length, n, np.empty(length * (n - length)))
+            mass = cross_mass(rows, length)
             err = np.abs(cross - reference[:length, length:]).max()
             assert err <= 1e-13, (j_y, h, length, err)
             assert abs(mass - (cross * cross).sum()) <= 1e-14 * mass, (j_y, h, length)
@@ -274,7 +277,8 @@ def test_occupations_match_svd_of_unsigned_block(n):
     # 18 reference SVDs to a few seconds.
     lens = (1, 2, 7, n // 2 - 1, n // 2) + ((n - 1,) if n <= 200 else ())
     for j_y, h in SVD_GRID:
-        signed = majorana_block(majorana_table(ChainParams(n, 1.0, j_y, h)), max(lens))
+        rows = signed_rows(majorana_table(ChainParams(n, 1.0, j_y, h)))
+        signed = majorana_rows(rows, max(lens), 0, max(lens))
         for length in lens:
             block = signed[:length, :length]
             sigma = np.linalg.svd(block * (-1.0) ** np.arange(length), compute_uv=False)
@@ -291,7 +295,8 @@ def test_even_blocks_pair_their_occupations(n):
     lens = (2, 4, n // 2) + ((n - 2,) if n <= 200 else (n // 2 + 2,))
     for j_y in (0.8, 1.0, 1.3):
         for h in (-5.0, -0.7, 0.0, 0.3, 5.0):
-            signed = majorana_block(majorana_table(ChainParams(n, 1.0, j_y, h)), max(lens))
+            rows = signed_rows(majorana_table(ChainParams(n, 1.0, j_y, h)))
+            signed = majorana_rows(rows, max(lens), 0, max(lens))
             for length in lens:
                 block = signed[:length, :length]
                 k = np.eye(length)[::-1] * (-1.0) ** np.arange(length)
@@ -414,9 +419,9 @@ def test_gamma_laid_out_once_on_read(monkeypatch):
 def test_momentum_occupations_match_reference_route():
     p = ChainParams(40, 1.0, 1.3, -0.6)
     g = real_space_gamma(p)
-    table = majorana_table(p)
+    rows = signed_rows(majorana_table(p))
     for length in (1, 7, 20, 39):
-        fast = majorana_occupations(majorana_block(table, length))
+        fast = majorana_occupations(majorana_rows(rows, length, 0, length))
         assert np.abs(fast - block_coupling(g, length)).max() < 1e-13
         assert fast.min() >= 0.0 and fast.max() <= 0.5
 
@@ -483,10 +488,34 @@ def test_momentum_route_needs_no_pair_amplitudes(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
-def test_majorana_block_length_validated():
-    table = majorana_table(ChainParams(8, 1.0, 1.0, 0.5))
+def test_majorana_rows_length_validated():
+    rows = signed_rows(majorana_table(ChainParams(8, 1.0, 1.0, 0.5)))
     for bad in (0, 8, -1):
         with pytest.raises(ParameterError):
-            majorana_block(table, bad)
+            majorana_rows(rows, bad, 0, 8)
     with pytest.raises(ParameterError, match="block_len must be an integer"):
-        majorana_block(table, 2.5)
+        majorana_rows(rows, 2.5, 0, 8)
+    for start, stop in ((3, 3), (-1, 4), (0, 9), (5, 2)):
+        with pytest.raises(ParameterError, match="columns"):
+            majorana_rows(rows, 4, start, stop)
+    with pytest.raises(ParameterError, match="stop must be an integer"):
+        majorana_rows(rows, 4, 4, 8.0)
+
+
+@pytest.mark.parametrize("n", [12, 200])
+def test_one_layout_serves_both_blocks(n):
+    # The block A and the cross block B are windows of one signed_rows
+    # array: A's leading slices are the smaller blocks, and B is the tail
+    # of the block's full rows of G D, bit for bit, in a buffer or not.
+    for j_y, h in SVD_GRID:
+        rows = signed_rows(majorana_table(ChainParams(n, 1.0, j_y, h)))
+        assert rows.shape == (2, 2 * n - 2)
+        full = majorana_rows(rows, n - 1, 0, n)
+        buffer = np.empty(n * n)
+        for length in range(1, n):
+            block = majorana_rows(rows, length, 0, length)
+            assert np.array_equal(block, full[:length, :length]), (j_y, h, length)
+            cross = majorana_rows(rows, length, length, n, buffer)
+            assert np.shares_memory(cross, buffer)
+            assert np.array_equal(cross, majorana_rows(rows, length, 0, n)[:, length:])
+            assert np.array_equal(cross, full[:length, length:]), (j_y, h, length)
