@@ -4,7 +4,8 @@ Every subcommand emits CSV with a header row, \\n line endings, and floats
 rendered at 17 significant digits so a round-trip through the text recovers
 the exact binary value.  Exit codes: 0 on success, 1 when a comparison
 subcommand finds disagreement, 2 on usage errors, on chains too large for
-memory and on output that cannot be written.
+memory and on output that cannot be written.  A negative value may follow
+its option in any float form (`--h-field -1e-3`, `--from -5.`).
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
     def emit(stream) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
     if path == "-":
         emit(sys.stdout)
@@ -71,11 +71,11 @@ def _block_lens(args) -> list[int]:
     if not all(v.is_integer() for v in (args.start, args.stop, args.step)):
         raise ParameterError(f"block lengths must be whole numbers, got from {args.start} "
                              f"to {args.stop} step {args.step}")
-    lens = [n for n in map(int, values) if args.parity == "all" or n % 2 == (args.parity == "odd")]
+    parity = args.parity or "all"  # scan's --parity, not given, keeps every length
+    lens = [n for n in map(int, values) if parity == "all" or n % 2 == (parity == "odd")]
     if not lens:
-        raise ParameterError(
-            f"no {args.parity} block length from {args.start} to {args.stop} step {args.step}"
-        )
+        raise ParameterError(f"no {parity} block length from {args.start} to {args.stop} "
+                             f"step {args.step}")
     return lens
 
 
@@ -84,10 +84,6 @@ _AXIS_POINTS = {
     "h-field": lambda p, h: replace(p, h_field=h),
     "jy-over-jx": lambda p, ratio: replace(p, j_y=ratio * p.j_x),
 }
-
-
-def _params_from(args) -> ChainParams:
-    return ChainParams(args.n_sites, args.jx, args.jy, args.h_field)
 
 
 def _add_common(sub, block: bool = False) -> None:
@@ -100,88 +96,69 @@ def _add_common(sub, block: bool = False) -> None:
         sub.add_argument("--block-size", type=int, required=True)
 
 
-def _cmd_energy(args) -> int:
-    p = _params_from(args)
-    e = ground_energy(p)
-    _write_csv(
-        args.output,
-        ["n_sites", "j_x", "j_y", "h_field", "ground_energy"],
-        [(p.n_sites, p.j_x, p.j_y, p.h_field, e)],
-    )
-    return 0
+def _add_range(sub, step: float | None, parity: str | None) -> None:
+    """--from/--to/--step/--parity; a step of None makes --step required."""
+    sub.add_argument("--from", dest="start", type=float, required=True)
+    sub.add_argument("--to", dest="stop", type=float, required=True)
+    sub.add_argument("--step", type=float, default=step, required=step is None)
+    sub.add_argument("--parity", choices=["all", "even", "odd"], default=parity)
 
 
-def _cmd_degeneracy(args) -> int:
-    p = _params_from(args)
+def _cmd_energy(p, args):
+    return (["n_sites", "j_x", "j_y", "h_field", "ground_energy"],
+            [(p.n_sites, p.j_x, p.j_y, p.h_field, ground_energy(p))])
+
+
+def _cmd_degeneracy(p, args):
     # The oracle's size check first: 2^(N/2 - 1) alone takes seconds at N = 10^9.
     counts = oracle.full_spectrum_degeneracy(p)
-    predicted = ground_degeneracy(p)
-    _write_csv(
-        args.output,
-        ["n_sites", "predicted_even", "even_sector", "odd_sector", "total"],
-        [(p.n_sites, predicted, counts.even_sector, counts.odd_sector, counts.total)],
-    )
-    return 0
+    return (["n_sites", "predicted_even", "even_sector", "odd_sector", "total"],
+            [(p.n_sites, ground_degeneracy(p), counts.even_sector, counts.odd_sector,
+              counts.total)])
 
 
-def _cmd_entropy(args) -> int:
-    p = _params_from(args)
+def _cmd_entropy(p, args):
     curve = entropy_mod.block_entropy_curve(p, [args.block_size])
-    _write_csv(
-        args.output,
-        ["n_sites", "j_x", "j_y", "h_field", "block_len", "entropy_bits"],
-        [(p.n_sites, p.j_x, p.j_y, p.h_field, args.block_size, curve[0][1])],
-    )
-    return 0
+    return (["n_sites", "j_x", "j_y", "h_field", "block_len", "entropy_bits"],
+            [(p.n_sites, p.j_x, p.j_y, p.h_field, args.block_size, curve[0][1])])
 
 
-def _cmd_spectrum(args) -> int:
-    p = _params_from(args)
+def _cmd_spectrum(p, args):
     if args.top_k > MAX_SCAN_POINTS:
         raise ParameterError(f"--top-k over {MAX_SCAN_POINTS}, got {args.top_k}")
     [(_, s)] = entropy_mod.block_spectra(p, [args.block_size])
     spec = entropy_mod.entanglement_spectrum(s, args.top_k)
     running = np.cumsum(spec.lambdas)
     rows = [(i + 1, lam, running[i]) for i, lam in enumerate(spec.lambdas)]
-    _write_csv(args.output, ["rank", "lambda_value", "cumulative_weight"], rows)
-    return 0
+    return ["rank", "lambda_value", "cumulative_weight"], rows
 
 
-def _cmd_scan(args) -> int:
-    p = _params_from(args)
+def _cmd_scan(p, args):
+    # An option the chosen axis does not read is refused, not ignored.
+    if args.axis == "block-len" and args.block_size is not None:
+        raise ParameterError("--block-size applies only to the h-field and jy-over-jx axes")
+    if args.axis != "block-len" and args.parity is not None:
+        raise ParameterError("--parity applies only to the block-len axis")
     if args.axis == "block-len":
-        if args.block_size is not None:
-            raise ParameterError("--block-size applies only to the h-field and jy-over-jx axes")
         rows = entropy_mod.block_entropy_curve(p, _block_lens(args))
     else:
         block_len = p.n_sites // 2 if args.block_size is None else args.block_size
         point = _AXIS_POINTS[args.axis]
-        rows = [
-            (value, entropy_mod.block_entropy_curve(point(p, value), [block_len])[0][1])
-            for value in _axis_values(args.start, args.stop, args.step)
-        ]
-    _write_csv(args.output, [args.axis.replace("-", "_"), "entropy_bits"], rows)
-    return 0
+        rows = [(value, entropy_mod.block_entropy_curve(point(p, value), [block_len])[0][1])
+                for value in _axis_values(args.start, args.stop, args.step)]
+    return [args.axis.replace("-", "_"), "entropy_bits"], rows
 
 
-def _cmd_compare(args) -> int:
-    result = oracle.compare_entropies(_params_from(args), _block_lens(args))
-    _write_csv(args.output, ["L", "fast", "oracle", "abs_diff"], result.rows)
-    if result.passed is None:
-        print("degenerate ground space: comparison recorded, not judged", file=sys.stderr)
-        return 0
-    return 0 if result.passed else 1
+def _cmd_compare(p, args):
+    result = oracle.compare_entropies(p, _block_lens(args))
+    return ["L", "fast", "oracle", "abs_diff"], result.rows, result.passed
 
 
-def _cmd_fit(args) -> int:
-    curve = entropy_mod.block_entropy_curve(_params_from(args), _block_lens(args))
+def _cmd_fit(p, args):
+    curve = entropy_mod.block_entropy_curve(p, _block_lens(args))
     fit = entropy_mod.fit_log_slope(curve, (int(args.start), int(args.stop)))
-    _write_csv(
-        args.output,
-        ["slope", "intercept", "r_squared", "l_min", "l_max", "n_points"],
-        [(fit.slope, fit.intercept, fit.r_squared, fit.window[0], fit.window[1], fit.n_points)],
-    )
-    return 0
+    return (["slope", "intercept", "r_squared", "l_min", "l_max", "n_points"],
+            [(fit.slope, fit.intercept, fit.r_squared, *fit.window, fit.n_points)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,50 +168,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("energy", help="ground-state energy from the mode sum")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_energy)
+    def command(name, func, summary, block=False):
+        sub = subs.add_parser(name, help=summary)
+        _add_common(sub, block)
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subs.add_parser("degeneracy", help="ground multiplicity against full diagonalization")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_degeneracy)
-
-    sub = subs.add_parser("entropy", help="block entanglement entropy in bits")
-    _add_common(sub, block=True)
-    sub.set_defaults(func=_cmd_entropy)
-
-    sub = subs.add_parser("spectrum", help="largest reduced-density eigenvalues")
-    _add_common(sub, block=True)
+    command("energy", _cmd_energy, "ground-state energy from the mode sum")
+    command("degeneracy", _cmd_degeneracy, "ground multiplicity against full diagonalization")
+    command("entropy", _cmd_entropy, "block entanglement entropy in bits", block=True)
+    sub = command("spectrum", _cmd_spectrum, "largest reduced-density eigenvalues", block=True)
     sub.add_argument("--top-k", type=int, default=8)
-    sub.set_defaults(func=_cmd_spectrum)
-
-    sub = subs.add_parser("scan", help="entropy along one parameter axis")
-    _add_common(sub)
+    sub = command("scan", _cmd_scan, "entropy along one parameter axis")
     sub.add_argument("--block-size", type=int, default=None,
                      help="block of the h-field and jy-over-jx axes (default: half the chain)")
     sub.add_argument("--axis", choices=["block-len", "h-field", "jy-over-jx"], required=True)
-    sub.add_argument("--from", dest="start", type=float, required=True)
-    sub.add_argument("--to", dest="stop", type=float, required=True)
-    sub.add_argument("--step", type=float, required=True)
-    sub.add_argument("--parity", choices=["all", "even", "odd"], default="all")
-    sub.set_defaults(func=_cmd_scan)
-
-    sub = subs.add_parser("compare", help="fast entropies against the exact-diagonalization oracle")
-    _add_common(sub)
-    sub.add_argument("--from", dest="start", type=float, required=True)
-    sub.add_argument("--to", dest="stop", type=float, required=True)
-    sub.add_argument("--step", type=float, default=1.0)
-    sub.add_argument("--parity", choices=["all", "even", "odd"], default="even")
-    sub.set_defaults(func=_cmd_compare)
-
-    sub = subs.add_parser("fit", help="entropy slope against log2 of block length")
-    _add_common(sub)
-    sub.add_argument("--from", dest="start", type=float, required=True)
-    sub.add_argument("--to", dest="stop", type=float, required=True)
-    sub.add_argument("--step", type=float, default=2.0)
-    sub.add_argument("--parity", choices=["all", "even", "odd"], default="even")
-    sub.set_defaults(func=_cmd_fit)
-
+    _add_range(sub, step=None, parity=None)
+    sub = command("compare", _cmd_compare,
+                  "fast entropies against the exact-diagonalization oracle")
+    _add_range(sub, step=1.0, parity="even")
+    _add_range(command("fit", _cmd_fit, "entropy slope against log2 of block length"),
+               step=2.0, parity="even")
     return parser
 
 
@@ -244,11 +198,38 @@ def _to_devnull(stream) -> None:
     os.close(devnull)
 
 
+def _joined_negatives(argv: list[str]) -> list[str]:
+    """Each `--option -1e-3` written as `--option=-1e-3`.
+
+    argparse (3.10 to 3.13) reads -1e-3, -5. and -inf as options, though not
+    -5 or -.5.  Every long option takes a value but --help, its abbreviations
+    and the bare "--".
+    """
+    joined = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        if (token.startswith("-") and option.startswith("--") and "=" not in option
+                and not "--help".startswith(option)):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{option}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_joined_negatives(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        p = ChainParams(args.n_sites, args.jx, args.jy, args.h_field)
+        header, rows, *verdict = args.func(p, args)  # compare alone returns a verdict
+        _write_csv(args.output, header, rows)
+        if verdict == [None]:
+            print("degenerate ground space: comparison recorded, not judged", file=sys.stderr)
+        return 1 if verdict == [False] else 0
     except (KitaevChainError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader left; what is still buffered goes to devnull, so exit is quiet.

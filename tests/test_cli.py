@@ -4,13 +4,14 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kitaevchain
-from kitaevchain import cli, fit_log_slope
+from kitaevchain import cli, fit_log_slope, oracle
 from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import ChainParams, ground_energy
 
@@ -338,7 +339,7 @@ def test_ranges_leaving_no_block_length_are_usage_errors(command, capsys):
     ["compare", "--n-sites", "8", "--from", "2", "--to", "4", "--step", "2"],
 ])
 def test_non_finite_scan_ranges_are_usage_errors(command, flag, value, capsys):
-    # flag=value, since argparse reads a bare "-inf" as an option.
+    # flag=value; test_negative_infinity_is_refused_by_the_chain writes "-inf" bare.
     i = command.index(flag)
     argv = command[:i] + [f"{flag}={value}"] + command[i + 2:]
     assert cli.main(argv + ["--output", "-"]) == 2
@@ -457,6 +458,125 @@ def test_unknown_parity_is_usage_error(command, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "invalid choice: 'prime'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-5."])
+@pytest.mark.parametrize("command,flag", [
+    (["energy", "--n-sites", "8"], "--jx"),
+    (["energy", "--n-sites", "8"], "--jy"),
+    (["energy", "--n-sites", "8"], "--h-field"),
+    (["scan", "--axis", "h-field", "--n-sites", "8", "--to", "0.5", "--step", "0.5"], "--from"),
+    (["scan", "--axis", "h-field", "--n-sites", "8", "--from", "-10", "--step", "2.5"], "--to"),
+])
+def test_negative_values_in_any_float_form(command, flag, value, capsys):
+    # argparse alone takes "-1e-3" and "-5." for options, though not "-5".
+    assert cli.main(command + [f"{flag}={value}", "--output", "-"]) == 0
+    joined = capsys.readouterr()
+    assert joined.out.count("\n") >= 2 and joined.err == ""
+    assert cli.main(command + [flag, value, "--output", "-"]) == 0
+    assert capsys.readouterr() == joined
+
+
+def test_negative_infinity_is_refused_by_the_chain(capsys):
+    # A bare "-inf" is read as a value, and refused as one, not as an option.
+    assert cli.main(["energy", "--n-sites", "8", "--h-field", "-inf"]) == 2
+    assert capsys.readouterr().err == "error: h_field must be finite, got -inf\n"
+    argv = ["scan", "--axis", "h-field", "--n-sites", "8", "--from", "-inf", "--to", "0",
+            "--step", "1", "--output", "-"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: scan range must be finite")
+    # After --help no value is read: the help is printed as before.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["energy", "--n-sites", "8", "--help", "-1e-3"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kitaev-chain energy")
+
+
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+@pytest.mark.parametrize("axis", ["h-field", "jy-over-jx"])
+def test_parity_on_a_parameter_axis_is_a_usage_error(axis, parity, capsys):
+    # Only the block-len axis has block lengths to filter: the flag would
+    # be ignored without a word.
+    argv = ["scan", "--axis", axis, "--n-sites", "8", "--h-field", "0.5", "--from", "0.5",
+            "--to", "0.5", "--step", "1", "--parity", parity, "--output", "-"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --parity applies only to the block-len axis\n"
+
+
+@pytest.mark.parametrize("command,step,parity", [
+    (["scan", "--axis", "block-len"], None, None),
+    (["compare"], 1.0, "even"),
+    (["fit"], 2.0, "even"),
+])
+def test_range_defaults(command, step, parity, capsys):
+    argv = command + ["--n-sites", "8", "--from", "2", "--to", "4"]
+    if step is None:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "the following arguments are required: --step" in capsys.readouterr().err
+        argv += ["--step", "1"]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.step, args.parity) == (step or 1.0, parity)
+
+
+def test_block_axis_without_parity_keeps_every_length(capsys):
+    argv = ["scan", "--axis", "block-len", "--n-sites", "8", "--h-field", "0.5",
+            "--from", "1", "--to", "7", "--step", "1", "--output", "-"]
+    assert cli.main(argv) == 0
+    default = capsys.readouterr().out
+    assert [row.split(",")[0] for row in default.splitlines()[1:]] == list("1234567")
+    assert cli.main(argv + ["--parity", "all"]) == 0
+    assert capsys.readouterr().out == default
+
+
+SUBCOMMANDS = {
+    "energy": ["energy", "--n-sites", "8", "--jy", "0.8", "--h-field", "0.5"],
+    "degeneracy": ["degeneracy", "--n-sites", "8", "--jy", "0.8"],
+    "entropy": ["entropy", "--n-sites", "8", "--h-field", "0.5", "--block-size", "4"],
+    "spectrum": ["spectrum", "--n-sites", "12", "--h-field", "0.5", "--block-size", "6",
+                 "--top-k", "5"],
+    "scan": ["scan", "--axis", "h-field", "--n-sites", "8", "--from", "0", "--to", "1",
+             "--step", "0.5"],
+    "compare": ["compare", "--n-sites", "8", "--h-field", "0.5", "--from", "2", "--to", "4"],
+    "fit": ["fit", "--n-sites", "64", "--h-field", "0.5", "--from", "4", "--to", "16"],
+}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_output_file_holds_what_stdout_shows(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--output", "-"]) == 0
+    shown = capsys.readouterr()
+    assert shown.err == "" and shown.out.count("\n") >= 2
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == shown.out.encode()
+
+
+def test_degenerate_comparison_is_noted_not_judged(capsys):
+    # At h = 0 the oracle's ground state is one of several: the rows are
+    # written and a note follows on stderr, with exit 0.
+    assert cli.main(["compare", "--n-sites", "8", "--from", "2", "--to", "4", "--output", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "L,fast,oracle,abs_diff"
+    assert [row.split(",")[0] for row in captured.out.splitlines()[1:]] == ["2", "4"]
+    assert captured.err == "degenerate ground space: comparison recorded, not judged\n"
+
+
+def test_failed_comparison_exits_1_with_its_rows_written(monkeypatch, tmp_path, capsys):
+    real = oracle.compare_entropies
+    monkeypatch.setattr(oracle, "compare_entropies",
+                        lambda p, lens: replace(real(p, lens), passed=False))
+    out = tmp_path / "c.csv"
+    argv = ["compare", "--n-sites", "8", "--h-field", "0.5", "--from", "2", "--to", "4"]
+    assert cli.main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", "")
+    header, *rows = read_rows(out)
+    assert header == ["L", "fast", "oracle", "abs_diff"]
+    assert [r[0] for r in rows] == ["2", "4"]
 
 
 def test_missing_required_flag_is_usage_error(capsys):
