@@ -15,12 +15,16 @@ G D per sublattice per chain (pairing.signed_rows), then for each block size
 one of two reductions, picked by a fixed flop and size rule, on blocks that
 pairing.majorana_rows lays out from those rows.  A short block takes one
 symmetric eigensolve of its L x L block A of G D.  A long one takes the few
-large singular values of its L x (N - L) cross block to the rest of the
-ring, and forms no L x L problem: it checks a certificate on the columns
-next to the cuts first, takes one power step only if that check fails, and
-grows the subspace until any mode it missed would fall under NU_FLOOR.  It
-takes the modes nearest nu = 1/2 from A projected on their Ritz vectors,
-laid out a panel at a time.  Both the momentum and the
+large singular values of its L x (N - L) cross block B to the rest of the
+ring, and forms no L x L problem.  A gapped chain entangles a fixed number
+of modes at each cut, so it reads only the corners of B at the block's two
+cuts, once they hold all but NU_FLOOR of B's mass, and the whole B only
+where they do not, as at the critical point.  On either it checks a
+certificate on the columns next to the cuts first, takes one power step
+only if that check fails, and grows the subspace until any mode it missed
+would fall under NU_FLOOR.  It takes the modes nearest nu = 1/2 from A
+projected on their Ritz vectors, laid out a panel at a time.  Both the
+momentum and the
 reference route hand each block's nu, one plain array, to schmidt_numbers,
 whose one rule is that floor.  It, block_entropy and entanglement_spectrum
 all refuse NaN or any entry outside [0, 1].
@@ -61,12 +65,15 @@ START_COLUMNS = 16
 PANEL_ROWS = 32
 
 # The low-rank route's cost per call beyond its products, in flops of the
-# dense route: the two QRs, panel loops and Gram eigensolve of a first round
-# with the power step took ~0.3 ms on 2 cores (OpenBLAS 0.3.31), where the
-# dense route runs ~1e-10 s per flop.  Its effect is to keep short blocks
+# dense route, which runs ~1e-10 s per flop (2 cores, OpenBLAS 0.3.31).  It
+# was set from a ~0.3 ms estimate for the two QRs, panel loops and Gram
+# eigensolve of a first round with the power step.  Whole low-rank calls,
+# timed since, take 0.14 ms on a gapped and 0.44 ms on a critical chain at
+# N = 200, L = 100, where the dense route takes 0.30-0.34 ms, and 0.32
+# against 1.2 ms at N = 800, L = 200.  Its effect is to keep short blocks
 # of short chains dense: it moves the N = 200 crossover from L = 90 to 136,
 # so L = 100 at N = 200 stays dense, though there the low-rank route is
-# the faster one (0.58 against 0.83 ms wall per block on 2 cores).
+# the faster one.
 LOW_RANK_OVERHEAD = 2.5e6
 
 
@@ -163,7 +170,10 @@ def _low_rank_pays(n_sites: int, block_len: int) -> bool:
     L = 100 at N = 200 stays dense under either price.  The cross block B
     must also hold at most three times the entries of the dense block, so a
     short block of a long chain never lays out a huge B: that bound, not the
-    price, keeps L = 500 of an N = 100 000 chain dense.
+    price, keeps L = 500 of an N = 100 000 chain dense.  Both are the whole-B
+    worst case, which a critical chain pays: a block whose corners of B at
+    the cuts hold its mass (_cut_occupations) multiplies only those, at most
+    2 w x 2 w for w = 4 START_COLUMNS, whatever L and N.
     """
     rest = n_sites - block_len
     dense = 4 * block_len**3 / 3
@@ -171,10 +181,25 @@ def _low_rank_pays(n_sites: int, block_len: int) -> bool:
     return rest <= 3 * block_len and dense > low_rank
 
 
+def _layout(signed: np.ndarray, sites: list, columns: list) -> np.ndarray:
+    """(G D)[sites, columns] for lists of (start, stop) ranges, one majorana_rows per pair."""
+    return np.concatenate([
+        np.concatenate([majorana_rows(signed, stop, c0, c1, first=start) for c0, c1 in columns],
+                       axis=1)
+        for start, stop in sites])
+
+
+def _cut_ranges(start: int, stop: int, width: int) -> list:
+    """[start, stop) as its first and last width indices, or whole if those would meet."""
+    if 2 * width >= stop - start:
+        return [(start, stop)]
+    return [(start, start + width), (stop - width, stop)]
+
+
 def _cross_occupations(
-    cross: np.ndarray, mass: float, signed: np.ndarray
+    cross: np.ndarray, mass: float, signed: np.ndarray, sites: list
 ) -> tuple[np.ndarray, float]:
-    """Occupations of a block from its cross block B, descending, and the missed mass tau.
+    """Occupations of a block from rows of its cross block B, descending, and the missed mass tau.
 
     G D is orthogonal because the state is pure, so its rows through the
     block give A A^T + B B^T = 1 for the block A of majorana_occupations:
@@ -183,23 +208,32 @@ def _cross_occupations(
     cancellation.  Only the few modes near the two cuts are entangled, so
     randomized subspace iteration (Halko, Martinsson and Tropp, SIAM Rev. 53,
     217 (2011)) finds them with no L x L eigenproblem.  It starts from the k
-    columns of B next to the two cuts, half each, as an orthonormal Q, and
-    reads sigma^2 off the k x k Gram of P = B^T Q.  By interlacing, the
-    missed mass tau = |B|_F^2 - sum sigma^2 bounds every mode the subspace
+    columns of cross next to the two cuts, half each, as an orthonormal Q,
+    and reads sigma^2 off the k x k Gram of P = cross^T Q.  By interlacing,
+    the missed mass tau = mass - sum sigma^2 bounds every mode the subspace
     missed; once tau <= 4 NU_FLOOR a missed mode has nu <= NU_FLOOR and
     would count as zero anyway.  tau needs only the Gram's trace,
     sum sigma^2 = |P|_F^2, so that one number decides every step, and the
     Gram is eigensolved once, for the subspace that passes.  When a chain
     entangles clearly fewer modes than k, the start columns already span
-    them, so one product with B is all it takes.  Only if the certificate
-    fails does it take one power step from that same P (QR of B P, then
-    B^T), and only if that fails too does k double.  Near nu = 1/2, where
-    sqrt(1 - sigma^2) = |lambda| keeps half its digits, nu comes from the
-    eigenvalues of U^T A U over those modes' Ritz vectors U (one quotient
-    per mode would mix an even L's +-lambda pairs), A laid out from signed
-    a column panel at a time.  The start columns are fixed, so equal input
-    gives bitwise equal output.  mass is |B|_F^2 (pairing.cross_mass).  One
-    nu per row of B; past the k found they are zeros.
+    them, so one product with cross is all it takes.  Only if the
+    certificate fails does it take one power step from that same P (QR of
+    cross P, then cross^T), and only if that fails too does k double.
+
+    cross is B[R, C]: R the block's sites in the (start, stop) ranges of
+    sites, C any of B's columns, in order, so that its first and last
+    columns are the ones next to the two cuts.  mass is all of |B|_F^2
+    (pairing.cross_mass).  Q lives on R, and dropping rows or columns of B
+    only removes terms from |B^T Q|_F^2, so tau is still at least the mass
+    missed in the whole B, and each Ritz value still lies below its
+    sigma^2 with sum (sigma^2 - Ritz value) <= tau: the certificate holds
+    on any window.  Near nu = 1/2, where sqrt(1 - sigma^2) = |lambda| keeps
+    half its digits, nu comes from the eigenvalues of U^T A U over those
+    modes' Ritz vectors U (one quotient per mode would mix an even L's
+    +-lambda pairs); U lives on R too, so only A[R, R] is laid out from
+    signed, a column panel at a time.  The start columns are fixed, so
+    equal input gives bitwise equal output.  One nu per site of the block;
+    past the k found they are zeros.
     """
     rows, cols = cross.shape
     panels = [slice(i, i + PANEL_ROWS) for i in range(0, rows, PANEL_ROWS)]
@@ -231,18 +265,46 @@ def _cross_occupations(
     gram = projected.T @ projected
     sigma2 = np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, 1.0)
     root = np.sqrt(1.0 - sigma2)
-    nu = np.zeros(rows)
+    nu = np.zeros(sites[-1][1])
     nu[:k] = sigma2 / (2.0 * (1.0 + root))
     # Rounding sigma^2 by eps moves nu by eps / (4 root): past NU_FLOOR, refine.
     near = int(np.count_nonzero(root < np.finfo(float).eps / (4.0 * NU_FLOOR)))
     if near:
         ritz = basis @ np.linalg.eigh(gram)[1][:, k - near :]
         block_ritz = np.concatenate([
-            majorana_rows(signed, rows, panel.start, min(panel.stop, rows)).T @ ritz
-            for panel in panels])
+            _layout(signed, sites, [(i, min(i + PANEL_ROWS, stop))]).T @ ritz
+            for start, stop in sites for i in range(start, stop, PANEL_ROWS)])
         lam = np.linalg.eigvalsh(ritz.T @ block_ritz)
         nu[:k] = np.sort(np.concatenate([0.5 * (1.0 - np.abs(lam)), nu[near:k]]))[::-1]
     return nu, tau
+
+
+def _cut_occupations(signed: np.ndarray, block_lens: list):
+    """(L, nu, tau) for each long block, in order, from the corners of B at its two cuts.
+
+    A gapped chain entangles a fixed number of modes at each cut, whatever
+    L and N.  So each block first lays out only the window B[R, C] of its
+    cross block: R its first and last w = 4 START_COLUMNS sites, C the w
+    columns of B past each cut, the one at L and the ring's closing one
+    (all of either when 2 w covers it).  If the window holds all but
+    NU_FLOOR of |B|_F^2 (pairing.cross_mass), _cross_occupations runs on the
+    window and its certificate, against the whole mass, stays rigorous.
+    Otherwise, as at and near the critical point, the block lays out the
+    whole B into one buffer that the blocks share, made at the first such
+    block, and gives the same bits as it would with no window.
+    """
+    n_sites = signed.shape[1] // 2 + 1
+    width = 4 * START_COLUMNS
+    buffer = None
+    for length in block_lens:
+        mass = cross_mass(signed, length)
+        sites = _cut_ranges(0, length, width)
+        cross = _layout(signed, sites, _cut_ranges(length, n_sites, width))
+        if mass - float(np.square(cross).sum()) > NU_FLOOR:
+            if buffer is None:
+                buffer = np.empty(max(size * (n_sites - size) for size in block_lens))
+            sites, cross = [(0, length)], majorana_rows(signed, length, length, n_sites, buffer)
+        yield (length, *_cross_occupations(cross, mass, signed, sites))
 
 
 def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
@@ -252,9 +314,11 @@ def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
     one of two routes, by _low_rank_pays: the dense route reads the
     eigenvalues of a leading slice of one block of G D, as large as the
     largest length it serves; the low-rank route reads the singular values
-    of the block's cross block to the rest of the ring, laid out in one
-    shared buffer.  The dense block is gone before that buffer is made, and
-    the buffer before the occupations are copied.
+    of the block's cross block to the rest of the ring, from the window of
+    it at the two cuts when that window holds its mass, and otherwise from
+    the whole of it in one shared buffer (see _cut_occupations).  The dense
+    block is gone before any of that is laid out, and the buffer before the
+    occupations are copied.
     """
     lens = [_check_block_len(p.n_sites, length) for length in block_lens]
     if not lens:
@@ -266,11 +330,7 @@ def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
     nus = {length: majorana_occupations(block[:length, :length]) for length in dense}
     del block
     thin = [length for length, low in low_rank.items() if low]
-    buffer = np.empty(max((length * (p.n_sites - length) for length in thin), default=0))
-    for length in thin:
-        cross = majorana_rows(rows, length, length, p.n_sites, buffer)
-        nus[length] = _cross_occupations(cross, cross_mass(rows, length), rows)[0]
-    buffer = cross = None
+    nus.update((length, nu) for length, nu, _ in _cut_occupations(rows, thin))
     return [(length, schmidt_numbers(nus[length])) for length in lens]
 
 

@@ -17,7 +17,9 @@ of nu goes on to bits with no rule but entropy.NU_FLOOR:
   sublattice.  Reversed windows of those rows lay out the L x L block, for
   an O(L^3) eigensolve, or the L x (N - L) cross block to the rest of the
   ring, whose few large singular values give the same nu in O(L (N - L))
-  time per subspace column; entropy.block_spectra picks one per block size;
+  time per subspace column, or any rows of either, such as the corners of
+  the cross block at the block's two cuts, all that a gapped chain's long
+  block reads; entropy.block_spectra picks one per block size;
 - the paper's construction (real_space_gamma, block_coupling,
   pair_correlations) writes the ground state as exp(Z) on the fermion
   vacuum, Z = sum_{l<m} z_{lm} c+_l c+_m, through the momentum pair
@@ -39,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .exceptions import ParameterError
 from .model import ChainParams, _index, dispersion, momentum_grid, unit_scaled
@@ -306,28 +308,43 @@ def signed_rows(table: np.ndarray) -> np.ndarray:
 
 
 def majorana_rows(
-    rows: np.ndarray, block_len: int, start: int, stop: int, out: np.ndarray | None = None
+    rows: np.ndarray,
+    block_len: int,
+    start: int,
+    stop: int,
+    out: np.ndarray | None = None,
+    first: int = 0,
 ) -> np.ndarray:
-    """(G D)[:block_len, start:stop] from a signed_rows array.
+    """(G D)[first:block_len, start:stop] from a signed_rows array.
 
-    The block's rows of one sublattice are reversed sliding windows of its
-    row of signed_rows, two sites apart, so each sublattice is one write.
-    Columns 0 to L give the symmetric L x L block A of majorana_occupations,
-    whose leading slices are the smaller blocks, and L to N the cross block
-    B to the rest of the ring.  With out, a flat float buffer of at least
-    block_len (stop - start) entries, the result is a view of it.
+    Row r = 2a + s is the reversed window of rows[s] that starts at 2a, so
+    the rows of one sublattice are windows two sites apart and each
+    sublattice is one write.  Columns 0 to L of the first L rows give the
+    symmetric L x L block A of majorana_occupations, whose leading slices
+    are the smaller blocks, and L to N the cross block B to the rest of the
+    ring; a later first row reads the rows of A or B next to the block's
+    far cut.  With out, a flat float buffer of at least
+    (block_len - first) (stop - start) entries, the result is a view of it.
     """
+    if rows.ndim != 2 or len(rows) != 2:
+        raise ParameterError(f"rows must be a signed_rows array of two rows, got shape {rows.shape}")
     n_sites = rows.shape[1] // 2 + 1
     block_len = _check_block_len(n_sites, block_len)
-    start, stop = _index("start", start), _index("stop", stop)
+    start, stop, first = _index("start", start), _index("stop", stop), _index("first", first)
     if not 0 <= start < stop <= n_sites:
         raise ParameterError(f"columns [{start}, {stop}) must lie in [0, {n_sites}]")
-    width = stop - start
-    block = (np.empty((block_len, width)) if out is None
-             else out[: block_len * width].reshape(block_len, width))
-    for s in (0, 1):
-        windows = sliding_window_view(rows[s], width)[n_sites - stop :: 2, ::-1]
-        block[s::2] = windows[: (block_len + 1 - s) // 2]
+    if not 0 <= first < block_len:
+        raise ParameterError(f"first row must lie in [0, {block_len - 1}], got {first}")
+    height, width = block_len - first, stop - start
+    block = (np.empty((height, width)) if out is None
+             else out[: height * width].reshape(height, width))
+    # cells[s, a, j] = rows[s, 2a + N - 1 - (start + j)] is row 2a + s; every
+    # index lies in [N - stop, 2N - 3 - start], inside the rows.
+    step = rows.strides[1]
+    cells = as_strided(rows[:, n_sites - start - 1 :], shape=(2, n_sites // 2, width),
+                       strides=(rows.strides[0], 2 * step, -step), writeable=False)
+    for row in (first, first + 1):
+        block[row - first :: 2] = cells[row % 2, row // 2 :][: (block_len - row + 1) // 2]
     return block
 
 
@@ -339,6 +356,7 @@ def cross_mass(rows: np.ndarray, block_len: int) -> float:
     cover it: a sum of positive terms, exact to relative rounding.
     """
     k, last = np.arange(rows.shape[1]), rows.shape[1] // 2  # last = N - 1
+    block_len = _check_block_len(last + 1, block_len)
     heights = np.array([[(block_len + 1) // 2], [block_len // 2]])
     count = np.minimum(heights - 1, k // 2) - np.maximum(0, (k - last + block_len + 1) // 2) + 1
     return float((np.maximum(count, 0) * rows**2).sum())

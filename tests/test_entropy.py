@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,11 +258,10 @@ def test_the_floor_leaves_at_most_min_l_n_minus_l_modes():
     for n, j_x, j_y, h in points:
         p = ChainParams(n, j_x, j_y, h)
         rows, g = signed_rows(majorana_table(p)), real_space_gamma(p)
-        block, buffer = majorana_rows(rows, n - 1, 0, n - 1), np.empty(n * n)
-        for length in range(n // 2 + 1, n):
+        block = majorana_rows(rows, n - 1, 0, n - 1)
+        lens = range(n // 2 + 1, n)
+        for length, nu, _ in entropy._cut_occupations(rows, lens):
             _frozen_past_the_cut(majorana_occupations(block[:length, :length]), n)
-            cross = majorana_rows(rows, length, length, n, buffer)
-            nu = entropy._cross_occupations(cross, cross_mass(rows, length), rows)[0]
             _frozen_past_the_cut(nu, n)
             _frozen_past_the_cut(block_coupling(g, length), n)
     # At N = 1000 block_spectra puts these lengths on the low-rank route;
@@ -430,19 +430,25 @@ def test_jin_korepin_constant_matches_its_integral():
 
 @functools.cache
 def _both_routes(n_sites: int, j_x: float, j_y: float, h: float, lens: tuple) -> list:
-    """(dense bits, low-rank bits, tau, dense nu, low-rank nu) per length, each route forced.
+    """(dense bits, low-rank bits, tau, dense nu, low-rank nu, whole) per length, each route forced.
 
-    Both nu arrays are floored by schmidt_numbers.
+    The low-rank side runs what block_spectra runs on a long block, and
+    whole says whether it laid out the whole cross block, the one layout
+    that goes into a buffer, rather than the window at the cuts.  Both nu
+    arrays are floored by schmidt_numbers.
     """
     rows = signed_rows(majorana_table(ChainParams(n_sites, j_x, j_y, h)))
     block = majorana_rows(rows, max(lens), 0, max(lens))
     out = []
-    for length in lens:
-        dense = schmidt_numbers(majorana_occupations(block[:length, :length]))
-        cross = majorana_rows(rows, length, length, n_sites)
-        low_rank, tau = entropy._cross_occupations(cross, cross_mass(rows, length), rows)
-        low_rank = schmidt_numbers(low_rank)
-        out.append((block_entropy(dense), block_entropy(low_rank), tau, dense, low_rank))
+    with mock.patch.object(entropy, "majorana_rows", wraps=majorana_rows) as layout:
+        for length, low_rank, tau in entropy._cut_occupations(rows, lens):
+            whole = [len(call.args) == 5 for call in layout.call_args_list]
+            assert whole.count(True) <= 1, whole
+            layout.reset_mock()
+            dense = schmidt_numbers(majorana_occupations(block[:length, :length]))
+            low_rank = schmidt_numbers(low_rank)
+            out.append((block_entropy(dense), block_entropy(low_rank), tau, dense, low_rank,
+                        any(whole)))
     return out
 
 
@@ -464,14 +470,30 @@ def test_routes_agree_over_the_error_budget_grid():
     # dense route off the block's eigenvalues, both from the same table, at
     # L = N/4, N/2 - 1 and N/2.  Mode by mode too: near nu = 1/2 the
     # low-rank route reads |lambda| off A over its Ritz vectors, since
-    # sqrt(1 - sigma^2) there keeps only half its digits.
-    worst = worst_nu = 0.0
+    # sqrt(1 - sigma^2) there keeps only half its digits.  Every gapped
+    # point, the y dimers included, reads the window of B at the cuts; the
+    # chains at h = 0 with J_x != 0, critical or nearly so, hold mass
+    # outside it and read the whole B.  Where the window serves, it agrees
+    # with the whole B too.
+    worst = worst_nu = worst_window = 0.0
     for point in _route_grid():
-        for dense, low_rank, _, dense_nu, low_rank_nu in _both_routes(*point):
+        n, j_x, _, h, lens = point
+        rows = signed_rows(majorana_table(ChainParams(*point[:4])))
+        for length, (dense, low_rank, _, dense_nu, low_rank_nu, whole) in zip(
+                lens, _both_routes(*point)):
+            assert whole == (h == 0.0 and j_x != 0.0), point
             worst = max(worst, abs(dense - low_rank))
             worst_nu = max(worst_nu, np.abs(dense_nu - low_rank_nu).max())
+            if not whole:
+                cross = majorana_rows(rows, length, length, n)
+                nu = entropy._cross_occupations(cross, cross_mass(rows, length), rows,
+                                                [(0, length)])[0]
+                nu = schmidt_numbers(nu)
+                worst_window = max(worst_window, np.abs(nu - low_rank_nu).max(),
+                                   abs(block_entropy(nu) - low_rank))
     assert worst <= 1e-12, worst
     assert worst_nu <= 1e-13, worst_nu
+    assert worst_window <= 1e-13, worst_window
 
 
 def test_low_rank_route_is_certified_and_deterministic():
@@ -480,12 +502,14 @@ def test_low_rank_route_is_certified_and_deterministic():
     for point in _route_grid():
         for _, _, tau, *_ in _both_routes(*point):
             assert tau <= 4.0 * NU_FLOOR, (point, tau)
-    # The start columns are fixed, so repeated calls agree bit for bit.
-    p = ChainParams(1000, 1.0, 1.0, 0.0)
-    first, again = block_spectra(p, [499, 500, 750]), block_spectra(p, [500, 750, 499])
-    assert all(entropy._low_rank_pays(1000, length) for length, _ in first)
-    for length, nu in first:
-        assert np.array_equal(nu, dict(again)[length])
+    # The start columns are fixed, so repeated calls agree bit for bit, on
+    # the whole B of the critical chain and on the window of a gapped one.
+    for h in (0.0, 0.5):
+        p = ChainParams(1000, 1.0, 1.0, h)
+        first, again = block_spectra(p, [499, 500, 750]), block_spectra(p, [500, 750, 499])
+        assert all(entropy._low_rank_pays(1000, length) for length, _ in first)
+        for length, nu in first:
+            assert np.array_equal(nu, dict(again)[length])
     # No seeded generator either: importing numpy.random alone costs memory.
     script = ("import sys; from kitaevchain import ChainParams, block_spectra; "
               "block_spectra(ChainParams(1000, 1.0, 1.0, 0.5), [500]); "
@@ -493,6 +517,46 @@ def test_low_rank_route_is_certified_and_deterministic():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, timeout=60)
     assert run.stdout.split() == ["False"]
+
+
+def test_a_refused_window_reads_the_whole_cross_block():
+    # At and near the critical point the window at the cuts misses more
+    # than NU_FLOOR of |B|_F^2, so the block lays out its whole B, and its
+    # nu and tau are those of _cross_occupations on that B, bit for bit.
+    for n, j_y, lens in ((1000, 1.0, (250, 499, 500)), (1000, 0.8, (500,)), (2000, 1.0, (999,))):
+        rows = signed_rows(majorana_table(ChainParams(n, 1.0, j_y, 0.0)))
+        for length, nu, tau in entropy._cut_occupations(rows, lens):
+            cross = majorana_rows(rows, length, length, n)
+            whole = entropy._cross_occupations(cross, cross_mass(rows, length), rows,
+                                               [(0, length)])
+            assert np.array_equal(nu, whole[0]), (n, j_y, length)
+            assert tau == whole[1], (n, j_y, length)
+            assert len(nu) == length
+
+
+@pytest.mark.parametrize("n,j_y,h", [(100_000, 1.3, 0.3), (100_000, 0.8, -0.7),
+                                     (16_000, 1.0, 0.5)])
+def test_gapped_area_law_far_past_a_thousand_sites(n, j_y, h):
+    # A gapped chain entangles a fixed number of modes at each cut, whatever
+    # L and N, so half and quarter blocks read only the window of B at the
+    # cuts: the whole B would take 20 GB and 15 GB at N = 100 000, 512 MB at
+    # N = 16 000.  Their entropy is N = 1000's, and the elliptic ladder's
+    # (measured: within 2e-15 and 1e-13 bits; 15 MB traced, 0.06 s).
+    small = dict(block_entropy_curve(ChainParams(1000, 1.0, j_y, h), [250, 500]))
+    tracemalloc.start()
+    try:
+        t0 = time.monotonic()
+        big = block_entropy_curve(ChainParams(n, 1.0, j_y, h), [n // 4, n // 2])
+        elapsed = time.monotonic() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for (length, bits), short in zip(big, (250, 500)):
+        assert entropy._low_rank_pays(n, length)
+        assert abs(bits - small[short]) <= 1e-9, (length, bits, small[short])
+        assert abs(bits - block_entropy_closed(1.0, j_y, h, length)) <= 1e-12, (length, bits)
+    assert elapsed < 10.0
+    assert peak < 20e6, peak
 
 
 def test_gapped_blocks_certify_before_the_power_step(monkeypatch):
@@ -515,9 +579,7 @@ def test_gapped_blocks_certify_before_the_power_step(monkeypatch):
     def qr_count(table, length):
         nonlocal qr_calls
         qr_calls = 0
-        rows = signed_rows(table)
-        cross = majorana_rows(rows, length, length, 1000)
-        tau = entropy._cross_occupations(cross, cross_mass(rows, length), rows)[1]
+        [(_, _, tau)] = entropy._cut_occupations(signed_rows(table), [length])
         assert tau <= 4.0 * NU_FLOOR, tau
         return qr_calls
 
@@ -539,11 +601,13 @@ def test_dimer_chain_is_exact_on_both_routes(j_y):
     # sharing one bit, and a block's only entangled modes sit at nu = 1/2,
     # one per y bond it cuts: the ring's closing bond and, at even L, the
     # bond after the block.  There sigma^2 = 1, where the low-rank formula
-    # keeps half its digits; the Ritz step must bring those modes back.
+    # keeps half its digits; the Ritz step must bring those modes back, from
+    # the rows of A at the two cuts, since the low-rank side reads the window.
     lens = (200, 201, 499, 500)
     for length, row in zip(lens, _both_routes(1000, 0.0, j_y, 0.0, lens)):
         bits, cut = row[:2], 2 - length % 2
-        for nu in row[3:]:
+        assert not row[5], length
+        for nu in row[3:5]:
             assert np.minimum(nu, np.abs(nu - 0.5)).max() <= 1e-15, (length, nu[:4])
             spectrum = entanglement_spectrum(nu, 8).lambdas
             assert len(spectrum) == 2**cut, (length, spectrum)

@@ -500,6 +500,24 @@ def test_majorana_rows_length_validated():
             majorana_rows(rows, 4, start, stop)
     with pytest.raises(ParameterError, match="stop must be an integer"):
         majorana_rows(rows, 4, 4, 8.0)
+    for first in (-1, 4, 5):
+        with pytest.raises(ParameterError, match="first row"):
+            majorana_rows(rows, 4, 0, 8, first=first)
+    with pytest.raises(ParameterError, match="first must be an integer"):
+        majorana_rows(rows, 4, 0, 8, first=1.0)
+    for bad in (rows[:1], rows[0], np.stack([rows] * 2)):
+        with pytest.raises(ParameterError, match="two rows"):
+            majorana_rows(bad, 4, 0, 8)
+
+
+def test_cross_mass_length_validated():
+    # The weights count a block's rows; outside [1, N - 1] there is no cross block.
+    rows = signed_rows(majorana_table(ChainParams(8, 1.0, 1.0, 0.5)))
+    for bad in (0, 8, 13, -3):
+        with pytest.raises(ParameterError, match="block_len must lie"):
+            cross_mass(rows, bad)
+    with pytest.raises(ParameterError, match="block_len must be an integer"):
+        cross_mass(rows, 2.5)
 
 
 @pytest.mark.parametrize("n", [12, 200])
@@ -519,3 +537,17 @@ def test_one_layout_serves_both_blocks(n):
             assert np.shares_memory(cross, buffer)
             assert np.array_equal(cross, majorana_rows(rows, length, 0, n)[:, length:])
             assert np.array_equal(cross, full[:length, length:]), (j_y, h, length)
+
+
+@pytest.mark.parametrize("n", [12, 200])
+def test_later_rows_are_slices_of_one_layout(n):
+    # A first row shifts the layout down the block, by an odd offset too,
+    # where its first row belongs to the other sublattice: B's rows next to
+    # the far cut and A's rows there read the same signed rows as the block.
+    rows = signed_rows(majorana_table(ChainParams(n, 1.0, 0.8, 0.3)))
+    full = majorana_rows(rows, n - 1, 0, n)
+    for length in range(2, n):
+        for first in {row for row in (1, 2, length // 2, length - 1) if row < length}:
+            for start, stop in ((0, length), (length, n), (first, length), (n - 1, n)):
+                got = majorana_rows(rows, length, start, stop, first=first)
+                assert np.array_equal(got, full[first:length, start:stop]), (length, first)
