@@ -19,15 +19,15 @@ large singular values of its L x (N - L) cross block B to the rest of the
 ring, and forms no L x L problem.  A gapped chain entangles a fixed number
 of modes at each cut, so it reads only the corners of B at the block's two
 cuts, once they hold all but NU_FLOOR of B's mass, and the whole B only
-where they do not, as at the critical point.  On either it checks a
-certificate on the columns next to the cuts first, takes one power step
-only if that check fails, and grows the subspace until any mode it missed
-would fall under NU_FLOOR.  It takes the modes nearest nu = 1/2 from A
-projected on their Ritz vectors, laid out a panel at a time.  Both the
-momentum and the
-reference route hand each block's nu, one plain array, to schmidt_numbers,
-whose one rule is that floor.  It, block_entropy and entanglement_spectrum
-all refuse NaN or any entry outside [0, 1].
+where they do not, as at the critical point; no block shares state with
+another.  On either it checks a certificate on the columns next to the
+cuts first, takes one power step only if that check fails, and grows the
+subspace until any mode it missed would fall under NU_FLOOR.  It takes the
+modes nearest nu = 1/2 from A projected on their Ritz vectors, laid out a
+panel at a time.  Both the momentum and the reference route hand each
+block's nu, one plain array, to schmidt_numbers, whose one rule is that
+floor.  It, block_entropy and entanglement_spectrum all refuse NaN or any
+entry outside [0, 1].
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -170,10 +170,12 @@ def _low_rank_pays(n_sites: int, block_len: int) -> bool:
     L = 100 at N = 200 stays dense under either price.  The cross block B
     must also hold at most three times the entries of the dense block, so a
     short block of a long chain never lays out a huge B: that bound, not the
-    price, keeps L = 500 of an N = 100 000 chain dense.  Both are the whole-B
-    worst case, which a critical chain pays: a block whose corners of B at
-    the cuts hold its mass (_cut_occupations) multiplies only those, at most
-    2 w x 2 w for w = 4 START_COLUMNS, whatever L and N.
+    price, keeps L = 500 of an N = 100 000 chain dense.  The price assumes
+    the block certifies in that one round on the whole B.  A gapped block
+    pays less: it multiplies only the corners of B at its cuts once they
+    hold its mass (_cut_occupations), at most 2 w x 2 w, w = 4 START_COLUMNS.
+    A critical block pays more, restarting at 2 k and 4 k: the dense route
+    stays faster on it up to L = N/4 at N = 4000 and L = N/2 at N = 1000.
     """
     rest = n_sites - block_len
     dense = 4 * block_len**3 / 3
@@ -279,32 +281,28 @@ def _cross_occupations(
     return nu, tau
 
 
-def _cut_occupations(signed: np.ndarray, block_lens: list):
-    """(L, nu, tau) for each long block, in order, from the corners of B at its two cuts.
+def _cut_occupations(signed: np.ndarray, length: int) -> tuple[np.ndarray, float]:
+    """(nu, tau) of one long block, from the corners of B at its two cuts.
 
     A gapped chain entangles a fixed number of modes at each cut, whatever
-    L and N.  So each block first lays out only the window B[R, C] of its
+    L and N.  So the block first lays out only the window B[R, C] of its
     cross block: R its first and last w = 4 START_COLUMNS sites, C the w
     columns of B past each cut, the one at L and the ring's closing one
     (all of either when 2 w covers it).  If the window holds all but
     NU_FLOOR of |B|_F^2 (pairing.cross_mass), _cross_occupations runs on the
     window and its certificate, against the whole mass, stays rigorous.
-    Otherwise, as at and near the critical point, the block lays out the
-    whole B into one buffer that the blocks share, made at the first such
-    block, and gives the same bits as it would with no window.
+    Otherwise, as at and near the critical point, the block lays out its
+    whole B with one majorana_rows call, never copied, and gives the same
+    bits as it would with no window.
     """
     n_sites = signed.shape[1] // 2 + 1
     width = 4 * START_COLUMNS
-    buffer = None
-    for length in block_lens:
-        mass = cross_mass(signed, length)
-        sites = _cut_ranges(0, length, width)
-        cross = _layout(signed, sites, _cut_ranges(length, n_sites, width))
-        if mass - float(np.square(cross).sum()) > NU_FLOOR:
-            if buffer is None:
-                buffer = np.empty(max(size * (n_sites - size) for size in block_lens))
-            sites, cross = [(0, length)], majorana_rows(signed, length, length, n_sites, buffer)
-        yield (length, *_cross_occupations(cross, mass, signed, sites))
+    mass = cross_mass(signed, length)
+    sites = _cut_ranges(0, length, width)
+    cross = _layout(signed, sites, _cut_ranges(length, n_sites, width))
+    if mass - float(np.square(cross).sum()) > NU_FLOOR:
+        sites, cross = [(0, length)], majorana_rows(signed, length, length, n_sites)
+    return _cross_occupations(cross, mass, signed, sites)
 
 
 def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
@@ -316,21 +314,20 @@ def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
     largest length it serves; the low-rank route reads the singular values
     of the block's cross block to the rest of the ring, from the window of
     it at the two cuts when that window holds its mass, and otherwise from
-    the whole of it in one shared buffer (see _cut_occupations).  The dense
-    block is gone before any of that is laid out, and the buffer before the
-    occupations are copied.
+    the whole of it (see _cut_occupations).  The dense block is gone before
+    any cross block is laid out, and each cross block before the next.
     """
     lens = [_check_block_len(p.n_sites, length) for length in block_lens]
     if not lens:
         return []
     rows = signed_rows(majorana_table(p))
-    low_rank = {length: _low_rank_pays(p.n_sites, length) for length in lens}
-    dense = [length for length, low in low_rank.items() if not low]
+    dense = [length for length in set(lens) if not _low_rank_pays(p.n_sites, length)]
     block = majorana_rows(rows, max(dense), 0, max(dense)) if dense else None
     nus = {length: majorana_occupations(block[:length, :length]) for length in dense}
     del block
-    thin = [length for length, low in low_rank.items() if low]
-    nus.update((length, nu) for length, nu, _ in _cut_occupations(rows, thin))
+    for length in lens:
+        if length not in nus:
+            nus[length] = _cut_occupations(rows, length)[0]
     return [(length, schmidt_numbers(nus[length])) for length in lens]
 
 

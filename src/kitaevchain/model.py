@@ -28,7 +28,8 @@ def _index(name: str, value) -> int:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_sites(n_sites: int) -> None:
+def _check_sites(n_sites: int) -> int:
+    """n_sites as a Python int, once it is a multiple of 4 in [4, 2^53]."""
     n_sites = _index("n_sites", n_sites)
     if n_sites < 4 or n_sites % 4 != 0:
         raise ParameterError(
@@ -37,6 +38,7 @@ def _check_sites(n_sites: int) -> None:
     # Past 2^53 the momentum grid's odd indices are no longer exact floats.
     if n_sites > 2**53:
         raise ParameterError(f"n_sites must be at most 2**53, got {n_sites}")
+    return n_sites
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,8 @@ class ChainParams:
     h_field: float = 0.0
 
     def __post_init__(self):
-        _check_sites(self.n_sites)
+        # A numpy integer would carry its fixed width into every size product.
+        object.__setattr__(self, "n_sites", _check_sites(self.n_sites))
         for name in ("j_x", "j_y", "h_field"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
@@ -70,7 +73,7 @@ def momentum_grid(n_sites: int) -> np.ndarray:
 
     The first N/4 of them, those below pi/2, are the group labels q.
     """
-    _check_sites(n_sites)
+    n_sites = _check_sites(n_sites)
     return np.arange(1, n_sites, 2, dtype=float) * np.pi / n_sites
 
 

@@ -19,7 +19,8 @@ of nu goes on to bits with no rule but entropy.NU_FLOOR:
   ring, whose few large singular values give the same nu in O(L (N - L))
   time per subspace column, or any rows of either, such as the corners of
   the cross block at the block's two cuts, all that a gapped chain's long
-  block reads; entropy.block_spectra picks one per block size;
+  block reads, each a fresh array; entropy.block_spectra picks one per
+  block size;
 - the paper's construction (real_space_gamma, block_coupling,
   pair_correlations) writes the ground state as exp(Z) on the fermion
   vacuum, Z = sum_{l<m} z_{lm} c+_l c+_m, through the momentum pair
@@ -312,7 +313,6 @@ def majorana_rows(
     block_len: int,
     start: int,
     stop: int,
-    out: np.ndarray | None = None,
     first: int = 0,
 ) -> np.ndarray:
     """(G D)[first:block_len, start:stop] from a signed_rows array.
@@ -323,8 +323,7 @@ def majorana_rows(
     symmetric L x L block A of majorana_occupations, whose leading slices
     are the smaller blocks, and L to N the cross block B to the rest of the
     ring; a later first row reads the rows of A or B next to the block's
-    far cut.  With out, a flat float buffer of at least
-    (block_len - first) (stop - start) entries, the result is a view of it.
+    far cut.
     """
     if rows.ndim != 2 or len(rows) != 2:
         raise ParameterError(f"rows must be a signed_rows array of two rows, got shape {rows.shape}")
@@ -336,8 +335,7 @@ def majorana_rows(
     if not 0 <= first < block_len:
         raise ParameterError(f"first row must lie in [0, {block_len - 1}], got {first}")
     height, width = block_len - first, stop - start
-    block = (np.empty((height, width)) if out is None
-             else out[: height * width].reshape(height, width))
+    block = np.empty((height, width))
     # cells[s, a, j] = rows[s, 2a + N - 1 - (start + j)] is row 2a + s; every
     # index lies in [N - stop, 2N - 3 - start], inside the rows.
     step = rows.strides[1]

@@ -260,9 +260,9 @@ def test_the_floor_leaves_at_most_min_l_n_minus_l_modes():
         rows, g = signed_rows(majorana_table(p)), real_space_gamma(p)
         block = majorana_rows(rows, n - 1, 0, n - 1)
         lens = range(n // 2 + 1, n)
-        for length, nu, _ in entropy._cut_occupations(rows, lens):
+        for length in lens:
             _frozen_past_the_cut(majorana_occupations(block[:length, :length]), n)
-            _frozen_past_the_cut(nu, n)
+            _frozen_past_the_cut(entropy._cut_occupations(rows, length)[0], n)
             _frozen_past_the_cut(block_coupling(g, length), n)
     # At N = 1000 block_spectra puts these lengths on the low-rank route;
     # the dense route, forced, leaves the most frozen modes at L = 999.
@@ -433,16 +433,17 @@ def _both_routes(n_sites: int, j_x: float, j_y: float, h: float, lens: tuple) ->
     """(dense bits, low-rank bits, tau, dense nu, low-rank nu, whole) per length, each route forced.
 
     The low-rank side runs what block_spectra runs on a long block, and
-    whole says whether it laid out the whole cross block, the one layout
-    that goes into a buffer, rather than the window at the cuts.  Both nu
-    arrays are floored by schmidt_numbers.
+    whole says whether it laid out the whole cross block, the one
+    majorana_rows call over B's columns (L, N), rather than the window at
+    the cuts.  Both nu arrays are floored by schmidt_numbers.
     """
     rows = signed_rows(majorana_table(ChainParams(n_sites, j_x, j_y, h)))
     block = majorana_rows(rows, max(lens), 0, max(lens))
     out = []
     with mock.patch.object(entropy, "majorana_rows", wraps=majorana_rows) as layout:
-        for length, low_rank, tau in entropy._cut_occupations(rows, lens):
-            whole = [len(call.args) == 5 for call in layout.call_args_list]
+        for length in lens:
+            low_rank, tau = entropy._cut_occupations(rows, length)
+            whole = [call.args[2:] == (length, n_sites) for call in layout.call_args_list]
             assert whole.count(True) <= 1, whole
             layout.reset_mock()
             dense = schmidt_numbers(majorana_occupations(block[:length, :length]))
@@ -525,13 +526,50 @@ def test_a_refused_window_reads_the_whole_cross_block():
     # nu and tau are those of _cross_occupations on that B, bit for bit.
     for n, j_y, lens in ((1000, 1.0, (250, 499, 500)), (1000, 0.8, (500,)), (2000, 1.0, (999,))):
         rows = signed_rows(majorana_table(ChainParams(n, 1.0, j_y, 0.0)))
-        for length, nu, tau in entropy._cut_occupations(rows, lens):
+        for length in lens:
+            nu, tau = entropy._cut_occupations(rows, length)
             cross = majorana_rows(rows, length, length, n)
             whole = entropy._cross_occupations(cross, cross_mass(rows, length), rows,
                                                [(0, length)])
             assert np.array_equal(nu, whole[0]), (n, j_y, length)
             assert tau == whole[1], (n, j_y, length)
             assert len(nu) == length
+
+
+def test_blocks_do_not_depend_on_the_other_requested_lengths():
+    # Each long block is one call that shares nothing with the others: one
+    # request of several lengths, out of order and one repeated, gives each
+    # block the bits it gets alone.  On the critical chain every one of them
+    # lays out its whole B; on the gapped one every one reads its window.
+    lens = [1000, 900, 800, 700, 600, 500, 800]
+    for h, whole in ((0.0, True), (0.5, False)):
+        p = ChainParams(2000, 1.0, 1.0, h)
+        with mock.patch.object(entropy, "majorana_rows", wraps=majorana_rows) as layout:
+            together = block_spectra(p, lens)
+        wholes = [call.args[1] for call in layout.call_args_list
+                  if call.args[2:] == (call.args[1], 2000)]
+        assert sorted(wholes) == (sorted(set(lens)) if whole else []), (h, wholes)
+        for length, nu in together:
+            assert entropy._low_rank_pays(2000, length)
+            [(_, alone)] = block_spectra(p, [length])
+            assert np.array_equal(nu, alone), (h, length)
+
+
+def test_the_whole_cross_block_is_laid_out_once_and_freed():
+    # A critical block lays out its L x (N - L) cross block B once, never
+    # copies it, and frees it before the next block: the traced peak stays
+    # under 1.5 times the largest B alone (measured: 1.20 and 1.40 times),
+    # where a copy of B, or two B's alive at once, would reach twice it.
+    for n, lens in ((4000, [2000]), (2000, list(range(500, 1001, 100)))):
+        p = ChainParams(n, 1.0, 1.0, 0.0)
+        tracemalloc.start()
+        try:
+            block_spectra(p, lens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(length * (n - length) for length in lens) * 8
+        assert peak < 1.5 * largest, (n, peak / largest)
 
 
 @pytest.mark.parametrize("n,j_y,h", [(100_000, 1.3, 0.3), (100_000, 0.8, -0.7),
@@ -579,7 +617,7 @@ def test_gapped_blocks_certify_before_the_power_step(monkeypatch):
     def qr_count(table, length):
         nonlocal qr_calls
         qr_calls = 0
-        [(_, _, tau)] = entropy._cut_occupations(signed_rows(table), [length])
+        _, tau = entropy._cut_occupations(signed_rows(table), length)
         assert tau <= 4.0 * NU_FLOOR, tau
         return qr_calls
 

@@ -1,9 +1,11 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kitaevchain.entropy import block_entropy_curve
+from kitaevchain import oracle
+from kitaevchain.entropy import _low_rank_pays, block_entropy_curve
 from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import (
     ChainParams,
@@ -37,6 +39,28 @@ def test_params_require_multiple_of_four_sites():
 def test_params_reject_non_finite_couplings(field, bad):
     with pytest.raises(ParameterError, match=field):
         ChainParams(8, **{field: bad})
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16])
+def test_numpy_integer_sizes_match_their_python_int_twin(dtype):
+    # The size is kept as a Python int, so no fixed width reaches the flop
+    # price, 2^(N/2 - 1) or the oracle's 2^N.  Each chain is as long as the
+    # type holds, up to N = 100 000; from N = 200 on its half block takes
+    # the low-rank route and its shortest the dense one.
+    n = min(int(np.iinfo(dtype).max) // 4 * 4, 100_000)
+    lens = [2, n // 2, 4 * n // 5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, twin = ChainParams(dtype(n), 1.0, 1.0, 0.5), ChainParams(n, 1.0, 1.0, 0.5)
+        assert type(p.n_sites) is int and p == twin
+        assert ground_energy(p) == ground_energy(twin)
+        assert ground_degeneracy(ChainParams(dtype(n))) == 2 ** (n // 2 - 1)
+        if n >= 200:
+            assert {_low_rank_pays(n, length) for length in lens} == {False, True}
+        assert block_entropy_curve(p, lens) == block_entropy_curve(twin, lens)
+        energy, state = oracle.ed_ground(ChainParams(dtype(8), 1.0, 0.8, 0.5))
+        twin_energy, twin_state = oracle.ed_ground(ChainParams(8, 1.0, 0.8, 0.5))
+        assert energy == twin_energy and np.array_equal(state, twin_state)
 
 
 def test_fraction_couplings_match_their_float_twin():

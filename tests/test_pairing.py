@@ -260,7 +260,7 @@ def test_momentum_block_matches_real_space_correlations(n):
             assert err <= 1e-13, (j_y, h, length, err)
             # The cross block to the rest of the ring, and its squared
             # Frobenius norm summed from the table.
-            cross = majorana_rows(rows, length, length, n, np.empty(length * (n - length)))
+            cross = majorana_rows(rows, length, length, n)
             mass = cross_mass(rows, length)
             err = np.abs(cross - reference[:length, length:]).max()
             assert err <= 1e-13, (j_y, h, length, err)
@@ -524,17 +524,15 @@ def test_cross_mass_length_validated():
 def test_one_layout_serves_both_blocks(n):
     # The block A and the cross block B are windows of one signed_rows
     # array: A's leading slices are the smaller blocks, and B is the tail
-    # of the block's full rows of G D, bit for bit, in a buffer or not.
+    # of the block's full rows of G D, bit for bit.
     for j_y, h in SVD_GRID:
         rows = signed_rows(majorana_table(ChainParams(n, 1.0, j_y, h)))
         assert rows.shape == (2, 2 * n - 2)
         full = majorana_rows(rows, n - 1, 0, n)
-        buffer = np.empty(n * n)
         for length in range(1, n):
             block = majorana_rows(rows, length, 0, length)
             assert np.array_equal(block, full[:length, :length]), (j_y, h, length)
-            cross = majorana_rows(rows, length, length, n, buffer)
-            assert np.shares_memory(cross, buffer)
+            cross = majorana_rows(rows, length, length, n)
             assert np.array_equal(cross, majorana_rows(rows, length, 0, n)[:, length:])
             assert np.array_equal(cross, full[:length, length:]), (j_y, h, length)
 
