@@ -12,22 +12,23 @@ formed: the way back to the weights would only add rounding.
 
 block_spectra and block_entropy_curve run the momentum route: one row of
 G D per sublattice per chain (pairing.signed_rows), then for each block size
-one of two reductions, picked by a fixed flop and size rule, on blocks that
-pairing.majorana_rows lays out from those rows.  A short block takes one
-symmetric eigensolve of its L x L block A of G D.  A long one takes the few
-large singular values of its L x (N - L) cross block B to the rest of the
-ring, and forms no L x L problem.  A gapped chain entangles a fixed number
-of modes at each cut, so it reads only the corners of B at the block's two
-cuts, once they hold all but NU_FLOOR of B's mass, and the whole B only
-where they do not, as at the critical point; no block shares state with
-another.  On either it checks a certificate on the columns next to the
-cuts first, takes one power step only if that check fails, and grows the
-subspace until any mode it missed would fall under NU_FLOOR.  It takes the
-modes nearest nu = 1/2 from A projected on their Ritz vectors, laid out a
-panel at a time.  Both the momentum and the reference route hand each
-block's nu, one plain array, to schmidt_numbers, whose one rule is that
-floor.  It, block_entropy and entanglement_spectrum all refuse NaN or any
-entry outside [0, 1].
+one call to one of two reductions, picked by a fixed flop and size rule, on
+blocks that pairing.majorana_rows lays out fresh from those rows; no block
+shares state with another.  A short block takes one symmetric eigensolve of
+its own L x L block A of G D.  A long one takes the few large singular
+values of its L x (N - L) cross block B to the rest of the ring, and forms
+no L x L problem.  A gapped chain entangles a fixed number of modes at each
+cut, so it reads only the corners of B at the block's two cuts, once they
+hold all but NU_FLOOR of B's mass, and the whole B only where they do not,
+as at the critical point.  On either it checks a certificate on the columns
+next to the cuts first, takes one power step only if that check fails, and
+grows the subspace until any mode it missed would fall under NU_FLOOR.  It
+takes the modes nearest nu = 1/2 from A projected on their Ritz vectors,
+laid out a panel at a time.  Both the momentum and the reference route hand
+each block's nu, one plain array, to schmidt_numbers, whose one rule is
+that floor.  It, block_entropy and entanglement_spectrum all refuse
+anything but one real number or a 1-d array of them, NaN, and any entry
+outside [0, 1].
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -97,9 +98,25 @@ def schmidt_numbers(nu: np.ndarray) -> np.ndarray:
     return nu
 
 
+def _real_array(name: str, values) -> np.ndarray:
+    """values as an integer or float array; anything else, bool or complex too, is refused."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must be real numbers, got {values!r}")
+    return array
+
+
 def _checked_occupations(nu) -> np.ndarray:
-    """nu as an array, once every entry lies in [0, 1]; NaN raises ParameterError too."""
-    nu = np.asarray(nu)
+    """nu as a real array of at most one dimension, once every entry lies in [0, 1].
+
+    NaN raises ParameterError too.
+    """
+    nu = _real_array("occupations", nu)
+    if nu.ndim > 1:
+        raise ParameterError(f"occupations must be a number or a 1-d array, got shape {nu.shape}")
     inside = (nu >= 0.0) & (nu <= 1.0)
     if not inside.all():
         raise ParameterError(f"occupations must lie in [0, 1], got {nu[~inside]}")
@@ -308,26 +325,25 @@ def _cut_occupations(signed: np.ndarray, length: int) -> tuple[np.ndarray, float
 def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
     """Entangled-mode occupations of the first L sites for each requested L, in order.
 
-    One signed_rows array of G D serves every block size.  Each size takes
-    one of two routes, by _low_rank_pays: the dense route reads the
-    eigenvalues of a leading slice of one block of G D, as large as the
-    largest length it serves; the low-rank route reads the singular values
-    of the block's cross block to the rest of the ring, from the window of
-    it at the two cuts when that window holds its mass, and otherwise from
-    the whole of it (see _cut_occupations).  The dense block is gone before
-    any cross block is laid out, and each cross block before the next.
+    One signed_rows array of G D serves every block size, and each distinct
+    size is one call that shares nothing else with the others.  It takes one
+    of two routes, by _low_rank_pays: the dense route reads the eigenvalues
+    of the block's own L x L block of G D; the low-rank route reads the
+    singular values of the block's cross block to the rest of the ring, from
+    the window of it at the two cuts when that window holds its mass, and
+    otherwise from the whole of it (see _cut_occupations).  Each block's
+    arrays are gone before the next block is laid out.
     """
     lens = [_check_block_len(p.n_sites, length) for length in block_lens]
     if not lens:
         return []
     rows = signed_rows(majorana_table(p))
-    dense = [length for length in set(lens) if not _low_rank_pays(p.n_sites, length)]
-    block = majorana_rows(rows, max(dense), 0, max(dense)) if dense else None
-    nus = {length: majorana_occupations(block[:length, :length]) for length in dense}
-    del block
-    for length in lens:
-        if length not in nus:
+    nus = {}
+    for length in dict.fromkeys(lens):
+        if _low_rank_pays(p.n_sites, length):
             nus[length] = _cut_occupations(rows, length)[0]
+        else:
+            nus[length] = majorana_occupations(majorana_rows(rows, length, 0, length))
     return [(length, schmidt_numbers(nus[length])) for length in lens]
 
 
@@ -348,16 +364,29 @@ class FitResult:
 def fit_log_slope(curve, window: tuple[int, int]) -> FitResult:
     """Least-squares slope of entropy against log2(block length).
 
-    Points outside the window are dropped; at least four must remain.  A
-    constant curve fits its own mean exactly, so its r_squared is 1 by
-    convention.
+    The window is two finite numbers, and every point of the curve a finite
+    positive length and a finite entropy.  Points outside the window are
+    dropped; at least four must remain.  A constant curve fits its own mean
+    exactly, so its r_squared is 1 by convention.
     """
-    l_min, l_max = window
-    pts = [pt for pt in curve if l_min <= pt[0] <= l_max]
-    if len(pts) < 4:
-        raise ParameterError(f"need at least 4 points to fit, got {len(pts)}")
-    lengths, e_vals = np.array(pts, dtype=float).T
-    x = np.log2(lengths)
+    bounds = _real_array("window", window)
+    if bounds.shape != (2,) or not np.isfinite(bounds).all():
+        raise ParameterError(f"window must be two finite numbers, got {window!r}")
+    points = _real_array("curve", list(curve) or np.empty((0, 2))).astype(float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ParameterError(f"curve must be (length, entropy) pairs, got shape {points.shape}")
+    lengths, e_vals = points.T
+    bad = ~(np.isfinite(lengths) & (lengths > 0) & np.isfinite(e_vals))
+    if bad.any():
+        raise ParameterError(
+            f"curve points need a finite positive length and a finite entropy, got "
+            f"{points[bad].tolist()}")
+    l_min, l_max = bounds
+    inside = (l_min <= lengths) & (lengths <= l_max)
+    n_points = int(np.count_nonzero(inside))
+    if n_points < 4:
+        raise ParameterError(f"need at least 4 points to fit, got {n_points}")
+    x, e_vals = np.log2(lengths[inside]), e_vals[inside]
     design = np.vstack([x, np.ones_like(x)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, e_vals, rcond=None)
     resid = e_vals - (slope * x + intercept)
@@ -368,5 +397,5 @@ def fit_log_slope(curve, window: tuple[int, int]) -> FitResult:
         intercept=float(intercept),
         r_squared=r_squared,
         window=(int(l_min), int(l_max)),
-        n_points=len(pts),
+        n_points=n_points,
     )

@@ -29,9 +29,9 @@ of nu goes on to bits with no rule but entropy.NU_FLOOR:
   is built from those rows alone.  Z = gamma - gamma^T
   couples the sublattices through one Hankel, hence symmetric, N/2 x N/2
   block S, whose N - 1 distinct entries are differences of those rows.
-  One eigensolve of S, cached on the gamma, gives every block of G D as
-  Gram products of the block's rows of the eigenvectors; the full C and F
-  are the split of the block at L = N.  The N x N gamma itself is laid out
+  One eigensolve of S, cached on the PairingMatrix, gives every block of
+  G D as Gram products of the block's rows of the eigenvectors; the full C
+  and F are the split of the block at L = N.  The N x N gamma is laid out
   only if it is read.  It costs one (N/2)^3 eigensolve plus O(N L^2) per
   block and is the independent reference: it shares only the dispersion,
   the rescaling and the momentum grid of model with the momentum route.
@@ -91,8 +91,6 @@ class PairingMatrix:
     def __init__(self, n_sites: int, rows: tuple[np.ndarray, np.ndarray]):
         self.n_sites = n_sites
         self.rows = rows
-        self._correlations: tuple | None = None
-        self._eigenpairs: tuple | None = None
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -105,6 +103,31 @@ class PairingMatrix:
         gamma[0::2, 1::2] = from_even[0::2, -2::-2]
         gamma[1::2, 0::2] = from_odd[1::2, ::-2]
         return gamma
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (lambda, V) of the Hankel block S of Z = gamma - gamma^T.
+
+        Z couples the even sites (0-based) only to the odd ones, through the
+        n x n block Y = gamma_eo - gamma_oe^T, n = N/2.  Y is Toeplitz in the
+        cell separation, so with R reversing the odd sites S = Y R is Hankel
+        and exactly symmetric: S[i, j] = h[i + j].  h is gathered from gamma's
+        two Toeplitz rows, h[k] = from_even[2k] - from_odd[2N - 2 - 2k], the
+        same subtractions the N x N layout would give, and no N x N array is
+        formed.  This is the route's one factorization, S = V diag(lambda) V^T,
+        which every block size and the correlations share.
+        """
+        from_even, from_odd = self.rows
+        hankel = sliding_window_view(from_even[:-1:2] - from_odd[:1:-2], self.n_sites // 2)
+        return np.linalg.eigh(hankel)
+
+    @cached_property
+    def correlations(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C, F), split off the full N x N block of G D (see pair_correlations)."""
+        n = self.n_sites
+        gmat = _reference_block(self, n)
+        gmat *= (-1.0) ** np.arange(n)
+        return 0.5 * np.eye(n) - 0.25 * (gmat + gmat.T), 0.25 * (gmat - gmat.T)
 
 
 def _beta_tables(p: ChainParams) -> tuple[np.ndarray, np.ndarray]:
@@ -166,32 +189,7 @@ def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
     symmetric, so C is exactly symmetric and F exactly antisymmetric.  The
     pair is cached on g.
     """
-    if g._correlations is not None:
-        return g._correlations
-    n = g.n_sites
-    gmat = _reference_block(g, n)
-    gmat *= (-1.0) ** np.arange(n)
-    g._correlations = (0.5 * np.eye(n) - 0.25 * (gmat + gmat.T), 0.25 * (gmat - gmat.T))
-    return g._correlations
-
-
-def _cayley_eigenpairs(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (lambda, V) of the Hankel block S of Z = gamma - gamma^T.
-
-    Z couples the even sites (0-based) only to the odd ones, through the
-    n x n block Y = gamma_eo - gamma_oe^T, n = N/2.  Y is Toeplitz in the
-    cell separation, so with R reversing the odd sites S = Y R is Hankel
-    and exactly symmetric: S[i, j] = h[i + j].  h is gathered from gamma's
-    two Toeplitz rows, h[k] = from_even[2k] - from_odd[2N - 2 - 2k], the
-    same subtractions the N x N layout would give, and no N x N array is
-    formed.  The route's one factorization, S = V diag(lambda) V^T, is
-    cached on g, so every block size and pair_correlations share it.
-    """
-    if g._eigenpairs is None:
-        from_even, from_odd = g.rows
-        hankel = sliding_window_view(from_even[:-1:2] - from_odd[:1:-2], g.n_sites // 2)
-        g._eigenpairs = np.linalg.eigh(hankel)
-    return g._eigenpairs
+    return g.correlations
 
 
 def _reference_block(g: PairingMatrix, block_len: int) -> np.ndarray:
@@ -213,7 +211,7 @@ def _reference_block(g: PairingMatrix, block_len: int) -> np.ndarray:
     the block is exactly symmetric.  The cost is O(N L) memory and
     O(N L^2) time after the eigensolve.
     """
-    lam, v = _cayley_eigenpairs(g)
+    lam, v = g.eigenpairs
     scale = np.sqrt(2.0) / np.hypot(1.0, lam)
     even = v[: (block_len + 1) // 2] * scale
     odd = v[::-1][: block_len // 2] * scale
@@ -323,7 +321,8 @@ def majorana_rows(
     symmetric L x L block A of majorana_occupations, whose leading slices
     are the smaller blocks, and L to N the cross block B to the rest of the
     ring; a later first row reads the rows of A or B next to the block's
-    far cut.
+    far cut.  entropy.block_spectra does not rely on the leading slices: it
+    lays out each block on its own.
     """
     if rows.ndim != 2 or len(rows) != 2:
         raise ParameterError(f"rows must be a signed_rows array of two rows, got shape {rows.shape}")

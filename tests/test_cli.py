@@ -615,6 +615,30 @@ def test_fit_requires_enough_points():
         fit_log_slope([(2, 1.0), (4, 2.0), (8, 3.0)], (2, 8))
 
 
+_LINE = [(length, 0.5 * np.log2(length)) for length in range(2, 65, 2)]
+
+
+@pytest.mark.parametrize("curve,window", [
+    (_LINE + [(66, np.nan)], (2, 64)),
+    (_LINE + [(66, np.inf)], (2, 66)),
+    ([(np.nan, 1.0)] + _LINE, (2, 64)),
+    ([(0, 1.0)] + _LINE, (0, 64)),
+    ([(-2, 1.0)] + _LINE, (-5, 64)),
+    (_LINE, (2,)),
+    (_LINE, (2, 64, 8)),
+    (_LINE, None),
+    (_LINE, ("2", 64)),
+    (_LINE, (2, np.inf)),
+], ids=["nan-entropy", "inf-entropy", "nan-length", "zero-length", "negative-length",
+        "one-bound", "three-bounds", "no-window", "string-bound", "infinite-bound"])
+def test_fit_rejects_points_and_windows_that_are_not_finite_numbers(curve, window):
+    # A fit never returns NaN and never lets numpy's LinAlgError out: a
+    # non-finite or non-positive length, a non-finite entropy, or a window
+    # that is not two finite numbers is a ParameterError.
+    with pytest.raises(ParameterError):
+        fit_log_slope(curve, window)
+
+
 def _env():
     """The environment with PYTHONPATH led by the tested package."""
     src = str(Path(kitaevchain.__file__).resolve().parents[1])

@@ -127,6 +127,22 @@ def test_occupations_outside_unit_interval_rejected(reduce):
             reduce([bad, 0.3])
 
 
+@pytest.mark.parametrize("reduce", [
+    block_entropy,
+    lambda nu: entanglement_spectrum(nu, 4),
+    schmidt_numbers,
+], ids=["block_entropy", "entanglement_spectrum", "schmidt_numbers"])
+@pytest.mark.parametrize("bad", [["0.1"], None, [0.1, None], [True, False], [0.1 + 0j],
+                                 [[0.1, 0.2]]],
+                         ids=["string", "none", "with-none", "bool", "complex", "2-d"])
+def test_occupations_that_are_not_a_real_array_rejected(reduce, bad):
+    # Only an integer or float array of at most one dimension is a list of
+    # occupations: a complex one is not cut to its real part, nor a 2-d one
+    # flattened, and every refusal is a ParameterError.
+    with pytest.raises(ParameterError, match="occupations must be"):
+        reduce(bad)
+
+
 def test_spectrum_monotone_prefix():
     s = spectrum_of([0.8, 0.63, 0.23, 0.02])
     prev = entanglement_spectrum(s, 1).lambdas
@@ -537,20 +553,24 @@ def test_a_refused_window_reads_the_whole_cross_block():
 
 
 def test_blocks_do_not_depend_on_the_other_requested_lengths():
-    # Each long block is one call that shares nothing with the others: one
-    # request of several lengths, out of order and one repeated, gives each
-    # block the bits it gets alone.  On the critical chain every one of them
-    # lays out its whole B; on the gapped one every one reads its window.
-    lens = [1000, 900, 800, 700, 600, 500, 800]
+    # Each block is one call that shares only the chain's rows of G D with
+    # the others: one request of several lengths, out of order and two
+    # repeated, gives each block the bits it gets alone.  A short block lays
+    # out its own L x L block once, never a slice of a larger one.  On the
+    # critical chain every long block lays out its whole B; on the gapped
+    # one every long block reads its window.
+    long_lens, short_lens = [1000, 900, 800, 700, 600, 500, 800], [499, 300, 130, 2, 300]
     for h, whole in ((0.0, True), (0.5, False)):
         p = ChainParams(2000, 1.0, 1.0, h)
         with mock.patch.object(entropy, "majorana_rows", wraps=majorana_rows) as layout:
-            together = block_spectra(p, lens)
-        wholes = [call.args[1] for call in layout.call_args_list
-                  if call.args[2:] == (call.args[1], 2000)]
-        assert sorted(wholes) == (sorted(set(lens)) if whole else []), (h, wholes)
+            together = block_spectra(p, long_lens + short_lens)
+        calls = [call.args[1:] for call in layout.call_args_list]
+        wholes = [length for length, start, stop in calls if (start, stop) == (length, 2000)]
+        squares = [length for length, start, stop in calls if (start, stop) == (0, length)]
+        assert sorted(wholes) == (sorted(set(long_lens)) if whole else []), (h, wholes)
+        assert sorted(squares) == sorted(set(short_lens)), (h, squares)
+        assert all(entropy._low_rank_pays(2000, length) for length in long_lens)
         for length, nu in together:
-            assert entropy._low_rank_pays(2000, length)
             [(_, alone)] = block_spectra(p, [length])
             assert np.array_equal(nu, alone), (h, length)
 

@@ -394,7 +394,7 @@ def test_rows_route_matches_checked_gamma_path(n, j_y, h):
     # gamma, the same-sublattice blocks are zero, so they drop out of Z,
     # and the even-odd block of Z, odd sites reversed, is exactly symmetric.
     g = real_space_gamma(ChainParams(n, 1.0, j_y, h))
-    lam, v = pairing._cayley_eigenpairs(g)
+    lam, v = g.eigenpairs
     gamma = g.gamma
     assert not gamma[0::2, 0::2].any() and not gamma[1::2, 1::2].any()
     hankel = gamma[0::2, -1::-2] - gamma[-1::-2, 0::2].T
