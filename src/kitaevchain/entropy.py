@@ -10,25 +10,25 @@ eigenvalues are products of one weight per mode, and the entropy is the sum
 of binary entropies H(nu_n).  No Schmidt numbers eta = nu / (1 - nu) are
 formed: the way back to the weights would only add rounding.
 
-block_spectra and block_entropy_curve run the momentum route: one row of
-G D per sublattice per chain (pairing.signed_rows), then for each block size
-one call to one of two reductions, picked by a fixed flop and size rule, on
-blocks that pairing.majorana_rows lays out fresh from those rows; no block
-shares state with another.  A short block takes one symmetric eigensolve of
-its own L x L block A of G D.  A long one takes the few large singular
-values of its L x (N - L) cross block B to the rest of the ring, and forms
-no L x L problem.  A gapped chain entangles a fixed number of modes at each
-cut, so it reads only the corners of B at the block's two cuts, once they
-hold all but NU_FLOOR of B's mass, and the whole B only where they do not,
-as at the critical point.  On either it checks a certificate on the columns
-next to the cuts first, takes one power step only if that check fails, and
-grows the subspace until any mode it missed would fall under NU_FLOOR.  It
-takes the modes nearest nu = 1/2 from A projected on their Ritz vectors,
-laid out a panel at a time.  Both the momentum and the reference route hand
-each block's nu, one plain array, to schmidt_numbers, whose one rule is
-that floor.  It, block_entropy and entanglement_spectrum all refuse
-anything but one real number or a 1-d array of them, NaN, and any entry
-outside [0, 1].
+block_spectra and block_entropy_curve run the momentum route: one row of G D
+per sublattice per chain (pairing.signed_rows), then for each block size one
+call to one of two reductions, on blocks that pairing.majorana_rows lays out
+fresh from those rows; no block shares state with another.  A short block
+takes one symmetric eigensolve of its own L x L block A of G D.  A long one
+takes the few large singular values of its L x (N - L) cross block B to the
+rest of the ring, and forms no L x L problem.  A gapped chain entangles a
+fixed number of modes at each cut: once one bound per chain (_tail_bound)
+shows that, every block past 128 sites reads only the corners of B at its
+two cuts.  Other chains, at and near the critical point, pick a route per
+block by a flop and size rule and read the whole B.  On either it checks a
+certificate on the columns next to the cuts first, takes one power step only
+if that check fails, and grows the subspace until any mode it missed would
+fall under NU_FLOOR.  It takes the modes nearest nu = 1/2 from A projected
+on their Ritz vectors, laid out a panel at a time.  Both the momentum and
+the reference route hand each block's nu, one plain array, to
+schmidt_numbers, whose one rule is that floor.  It, block_entropy and
+entanglement_spectrum all refuse anything but one real number or a 1-d array
+of them, NaN, and any entry outside [0, 1].
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -43,7 +43,6 @@ from .exceptions import ParameterError
 from .model import ChainParams, _index
 from .pairing import (
     _check_block_len,
-    cross_mass,
     majorana_occupations,
     majorana_rows,
     majorana_table,
@@ -66,15 +65,10 @@ START_COLUMNS = 16
 PANEL_ROWS = 32
 
 # The low-rank route's cost per call beyond its products, in flops of the
-# dense route, which runs ~1e-10 s per flop (2 cores, OpenBLAS 0.3.31).  It
-# was set from a ~0.3 ms estimate for the two QRs, panel loops and Gram
-# eigensolve of a first round with the power step.  Whole low-rank calls,
-# timed since, take 0.14 ms on a gapped and 0.44 ms on a critical chain at
-# N = 200, L = 100, where the dense route takes 0.30-0.34 ms, and 0.32
-# against 1.2 ms at N = 800, L = 200.  Its effect is to keep short blocks
-# of short chains dense: it moves the N = 200 crossover from L = 90 to 136,
-# so L = 100 at N = 200 stays dense, though there the low-rank route is
-# the faster one.
+# dense route (~1e-10 s per flop, 2 cores, OpenBLAS 0.3.31): a ~0.3 ms
+# estimate for the QRs, panel loops and Gram eigensolve of a first round.
+# It keeps short blocks of short chains dense: the N = 200 crossover moves
+# from L = 90 to 136, though at L = 100 the low-rank route is the faster.
 LOW_RANK_OVERHEAD = 2.5e6
 
 
@@ -178,21 +172,15 @@ def _low_rank_pays(n_sites: int, block_len: int) -> bool:
     """Whether a block takes the low-rank route: cheaper, and not much bigger.
 
     The dense route's tridiagonalization costs 4 L^3 / 3 flops; the
-    low-rank route's first round costs 6 L (N - L) k at the
-    START_COLUMNS = k it starts from, plus LOW_RANK_OVERHEAD.  That is the
-    worst first round, three products with B, on purpose: a gapped block
-    whose certificate passes at once takes only one, but that is known only
-    after the product, and a near-critical block takes all three.  The one-
-    product price would move the N = 200 crossover from L = 136 to 128;
-    L = 100 at N = 200 stays dense under either price.  The cross block B
-    must also hold at most three times the entries of the dense block, so a
-    short block of a long chain never lays out a huge B: that bound, not the
-    price, keeps L = 500 of an N = 100 000 chain dense.  The price assumes
-    the block certifies in that one round on the whole B.  A gapped block
-    pays less: it multiplies only the corners of B at its cuts once they
-    hold its mass (_cut_occupations), at most 2 w x 2 w, w = 4 START_COLUMNS.
-    A critical block pays more, restarting at 2 k and 4 k: the dense route
-    stays faster on it up to L = N/4 at N = 4000 and L = N/2 at N = 1000.
+    low-rank route's first round, three products with B as a near-critical
+    block takes, 6 L (N - L) k at k = START_COLUMNS, plus LOW_RANK_OVERHEAD.
+    B must also hold at most three times the entries of the dense block:
+    that bound, not the price, keeps L = 500 of a critical N = 100 000
+    chain dense, and from N = 988 on the rule is just 4 L >= N.  A critical
+    block pays more, restarting at 2 k and 4 k: the dense route stays faster
+    up to L = N/4 at N = 4000 and L = N/2 at N = 1000.  The rule serves the
+    chains whose _tail_bound refuses the window; on a gapped one it decides
+    only blocks of at most 128 sites, 16 of them low-rank (N <= 152).
     """
     rest = n_sites - block_len
     dense = 4 * block_len**3 / 3
@@ -215,9 +203,8 @@ def _cut_ranges(start: int, stop: int, width: int) -> list:
     return [(start, start + width), (stop - width, stop)]
 
 
-def _cross_occupations(
-    cross: np.ndarray, mass: float, signed: np.ndarray, sites: list
-) -> tuple[np.ndarray, float]:
+def _cross_occupations(cross: np.ndarray, tail: float, signed: np.ndarray,
+                       sites: list) -> tuple[np.ndarray, float]:
     """Occupations of a block from rows of its cross block B, descending, and the missed mass tau.
 
     G D is orthogonal because the state is pure, so its rows through the
@@ -241,9 +228,10 @@ def _cross_occupations(
 
     cross is B[R, C]: R the block's sites in the (start, stop) ranges of
     sites, C any of B's columns, in order, so that its first and last
-    columns are the ones next to the two cuts.  mass is all of |B|_F^2
-    (pairing.cross_mass).  Q lives on R, and dropping rows or columns of B
-    only removes terms from |B^T Q|_F^2, so tau is still at least the mass
+    columns are the ones next to the two cuts.  tail bounds the mass of B
+    outside cross (0 for the whole B), and the mass is |cross|_F^2 + tail,
+    at least |B|_F^2.  Q lives on R, and dropping rows or columns of B only
+    removes terms from |B^T Q|_F^2, so tau is still at least the mass
     missed in the whole B, and each Ritz value still lies below its
     sigma^2 with sum (sigma^2 - Ritz value) <= tau: the certificate holds
     on any window.  Near nu = 1/2, where sqrt(1 - sigma^2) = |lambda| keeps
@@ -266,13 +254,15 @@ def _cross_occupations(
             total += cross[panel].T @ left[panel]
         return total
 
+    # Sums of squares by numpy, not a dot (OpenBLAS runs one on two threads),
+    # a panel at a time so that no copy of B is made.
+    mass = sum(float(np.square(cross[panel]).sum()) for panel in panels) + tail
     full = min(rows, cols)
     k = min(START_COLUMNS, full)
     while True:
         near_cuts = np.concatenate([cross[:, : k - k // 2], cross[:, cols - k // 2 :]], axis=1)
         basis = np.linalg.qr(near_cuts)[0]
         projected = adjoint_times(basis)
-        # |P|_F^2 summed by numpy: OpenBLAS runs a dot this long on two threads.
         tau = mass - float(np.square(projected).sum())
         if tau > 4.0 * NU_FLOOR:
             basis = np.linalg.qr(times(projected))[0]
@@ -298,58 +288,78 @@ def _cross_occupations(
     return nu, tau
 
 
-def _cut_occupations(signed: np.ndarray, length: int) -> tuple[np.ndarray, float]:
-    """(nu, tau) of one long block, from the corners of B at its two cuts.
+def _tail_bound(signed: np.ndarray) -> float:
+    """A bound T, for every L, on the mass of B outside its window at the cuts.
 
-    A gapped chain entangles a fixed number of modes at each cut, whatever
-    L and N.  So the block first lays out only the window B[R, C] of its
-    cross block: R its first and last w = 4 START_COLUMNS sites, C the w
-    columns of B past each cut, the one at L and the ring's closing one
-    (all of either when 2 w covers it).  If the window holds all but
-    NU_FLOOR of |B|_F^2 (pairing.cross_mass), _cross_occupations runs on the
-    window and its certificate, against the whole mass, stays rigorous.
-    Otherwise, as at and near the critical point, the block lays out its
-    whole B with one majorana_rows call, never copied, and gives the same
-    bits as it would with no window.
+    An entry of B outside the window (_cut_occupations) has its row among
+    the block's middle sites or its column among the rest's, so its two
+    sites lie more than w = 4 START_COLUMNS apart on the ring.  Entry i of
+    signed row s is G D at site offset delta = i - (N - 1) + s, ring
+    distance d = min(|delta|, N - |delta|), and at most d + 1 block x rest
+    pairs at that offset cross a cut: T = sum over d > w of (d + 1) entry^2.
+    A gapped chain's G D decays exponentially in d, so T is far below
+    NU_FLOOR there; at and near the critical point it is not.
+    """
+    last = signed.shape[1] // 2  # N - 1
+    offset = np.abs(np.arange(-last, last + 1))
+    distance = np.minimum(offset, last + 1 - offset)
+    weight = np.where(distance > 4 * START_COLUMNS, distance + 1.0, 0.0)
+    return float(np.square(signed[0]) @ weight[:-1] + np.square(signed[1]) @ weight[1:])
+
+
+def _cut_occupations(signed: np.ndarray, length: int, tail: float) -> tuple[np.ndarray, float]:
+    """(nu, tau) of one block on the low-rank route.
+
+    Where tail (_tail_bound) is at most NU_FLOOR, it reads only the window
+    B[R, C] at the two cuts: R the block's first and last w = 4 START_COLUMNS
+    sites, C the w columns past the cut at L and past the ring's closing one
+    (all of either when 2 w covers it).  Otherwise, tail = inf included, it
+    lays out its whole B with one majorana_rows call, never copied.
     """
     n_sites = signed.shape[1] // 2 + 1
+    if tail > NU_FLOOR:
+        cross = majorana_rows(signed, length, length, n_sites)
+        return _cross_occupations(cross, 0.0, signed, [(0, length)])
     width = 4 * START_COLUMNS
-    mass = cross_mass(signed, length)
     sites = _cut_ranges(0, length, width)
     cross = _layout(signed, sites, _cut_ranges(length, n_sites, width))
-    if mass - float(np.square(cross).sum()) > NU_FLOOR:
-        sites, cross = [(0, length)], majorana_rows(signed, length, length, n_sites)
-    return _cross_occupations(cross, mass, signed, sites)
+    return _cross_occupations(cross, tail, signed, sites)
+
+
+def _floored_spectra(p: ChainParams, lens: list):
+    """(L, schmidt_numbers of its nu) for each distinct L of lens, in order.
+
+    Blocks share only signed_rows and, once some L passes 2 w = 128, the
+    chain's one _tail_bound.  Where that admits the window, every block past
+    2 w reads it; every other block takes the route _low_rank_pays picks.
+    """
+    if not lens:
+        return
+    rows = signed_rows(majorana_table(p))
+    width = 4 * START_COLUMNS
+    tail = _tail_bound(rows) if max(lens) > 2 * width else np.inf
+    for length in dict.fromkeys(lens):
+        if length > 2 * width and tail <= NU_FLOOR:
+            nu = _cut_occupations(rows, length, tail)[0]
+        elif _low_rank_pays(p.n_sites, length):
+            nu = _cut_occupations(rows, length, np.inf)[0]
+        else:
+            nu = majorana_occupations(majorana_rows(rows, length, 0, length))
+        yield length, schmidt_numbers(nu)
 
 
 def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
-    """Entangled-mode occupations of the first L sites for each requested L, in order.
-
-    One signed_rows array of G D serves every block size, and each distinct
-    size is one call that shares nothing else with the others.  It takes one
-    of two routes, by _low_rank_pays: the dense route reads the eigenvalues
-    of the block's own L x L block of G D; the low-rank route reads the
-    singular values of the block's cross block to the rest of the ring, from
-    the window of it at the two cuts when that window holds its mass, and
-    otherwise from the whole of it (see _cut_occupations).  Each block's
-    arrays are gone before the next block is laid out.
-    """
+    """Entangled-mode occupations of the first L sites per requested L, in order; repeats share."""
     lens = [_check_block_len(p.n_sites, length) for length in block_lens]
-    if not lens:
-        return []
-    rows = signed_rows(majorana_table(p))
-    nus = {}
-    for length in dict.fromkeys(lens):
-        if _low_rank_pays(p.n_sites, length):
-            nus[length] = _cut_occupations(rows, length)[0]
-        else:
-            nus[length] = majorana_occupations(majorana_rows(rows, length, 0, length))
-    return [(length, schmidt_numbers(nus[length])) for length in lens]
+    nus = dict(_floored_spectra(p, lens))
+    return [(length, nus[length]) for length in lens]
 
 
 def block_entropy_curve(p: ChainParams, block_lens) -> list[tuple[int, float]]:
-    """Entropy in bits at each requested block size, in request order."""
-    return [(length, block_entropy(nu)) for length, nu in block_spectra(p, block_lens)]
+    """Entropy in bits per requested block size, in order, one block's arrays alive at a time."""
+    lens = [_check_block_len(p.n_sites, length) for length in block_lens]
+    bits = {length: block_entropy(nu) for length, nu in _floored_spectra(p, lens)}
+    return [(length, bits[length]) for length in lens]
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ from .exceptions import ParameterError
 
 
 def _index(name: str, value) -> int:
-    """value as a Python int; a float, even a whole one, is rejected."""
+    """value as a Python int; a float, even a whole one, or a bool is rejected."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None

@@ -1,4 +1,5 @@
 import functools
+import random
 import subprocess
 import sys
 import time
@@ -22,7 +23,6 @@ from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import ChainParams
 from kitaevchain.pairing import (
     block_coupling,
-    cross_mass,
     majorana_occupations,
     majorana_rows,
     majorana_table,
@@ -274,11 +274,12 @@ def test_the_floor_leaves_at_most_min_l_n_minus_l_modes():
     for n, j_x, j_y, h in points:
         p = ChainParams(n, j_x, j_y, h)
         rows, g = signed_rows(majorana_table(p)), real_space_gamma(p)
+        tail = entropy._tail_bound(rows)
         block = majorana_rows(rows, n - 1, 0, n - 1)
         lens = range(n // 2 + 1, n)
         for length in lens:
             _frozen_past_the_cut(majorana_occupations(block[:length, :length]), n)
-            _frozen_past_the_cut(entropy._cut_occupations(rows, length)[0], n)
+            _frozen_past_the_cut(entropy._cut_occupations(rows, length, tail)[0], n)
             _frozen_past_the_cut(block_coupling(g, length), n)
     # At N = 1000 block_spectra puts these lengths on the low-rank route;
     # the dense route, forced, leaves the most frozen modes at L = 999.
@@ -448,17 +449,20 @@ def test_jin_korepin_constant_matches_its_integral():
 def _both_routes(n_sites: int, j_x: float, j_y: float, h: float, lens: tuple) -> list:
     """(dense bits, low-rank bits, tau, dense nu, low-rank nu, whole) per length, each route forced.
 
-    The low-rank side runs what block_spectra runs on a long block, and
-    whole says whether it laid out the whole cross block, the one
-    majorana_rows call over B's columns (L, N), rather than the window at
-    the cuts.  Both nu arrays are floored by schmidt_numbers.
+    The low-rank side runs what block_spectra runs on a low-rank block past
+    2 w = 128 sites: the window at the cuts where the chain's tail bound
+    admits it, the whole B otherwise.  whole says whether it laid out the
+    whole cross block, the one majorana_rows call over B's columns (L, N).
+    Both nu arrays are floored by schmidt_numbers.
     """
     rows = signed_rows(majorana_table(ChainParams(n_sites, j_x, j_y, h)))
+    tail = entropy._tail_bound(rows)
     block = majorana_rows(rows, max(lens), 0, max(lens))
     out = []
     with mock.patch.object(entropy, "majorana_rows", wraps=majorana_rows) as layout:
         for length in lens:
-            low_rank, tau = entropy._cut_occupations(rows, length)
+            assert length > 8 * entropy.START_COLUMNS, length
+            low_rank, tau = entropy._cut_occupations(rows, length, tail)
             whole = [call.args[2:] == (length, n_sites) for call in layout.call_args_list]
             assert whole.count(True) <= 1, whole
             layout.reset_mock()
@@ -489,9 +493,9 @@ def test_routes_agree_over_the_error_budget_grid():
     # low-rank route reads |lambda| off A over its Ritz vectors, since
     # sqrt(1 - sigma^2) there keeps only half its digits.  Every gapped
     # point, the y dimers included, reads the window of B at the cuts; the
-    # chains at h = 0 with J_x != 0, critical or nearly so, hold mass
-    # outside it and read the whole B.  Where the window serves, it agrees
-    # with the whole B too.
+    # chains at h = 0 with J_x != 0, critical or nearly so, have a tail
+    # bound past NU_FLOOR and read the whole B.  Where the window serves, it
+    # agrees with the whole B too.
     worst = worst_nu = worst_window = 0.0
     for point in _route_grid():
         n, j_x, _, h, lens = point
@@ -503,8 +507,7 @@ def test_routes_agree_over_the_error_budget_grid():
             worst_nu = max(worst_nu, np.abs(dense_nu - low_rank_nu).max())
             if not whole:
                 cross = majorana_rows(rows, length, length, n)
-                nu = entropy._cross_occupations(cross, cross_mass(rows, length), rows,
-                                                [(0, length)])[0]
+                nu = entropy._cross_occupations(cross, 0.0, rows, [(0, length)])[0]
                 nu = schmidt_numbers(nu)
                 worst_window = max(worst_window, np.abs(nu - low_rank_nu).max(),
                                    abs(block_entropy(nu) - low_rank))
@@ -536,29 +539,102 @@ def test_low_rank_route_is_certified_and_deterministic():
     assert run.stdout.split() == ["False"]
 
 
+def _outside_window_mass(rows: np.ndarray, lengths) -> np.ndarray:
+    """|B|_F^2 outside the window at the cuts, per length, summed entry by entry.
+
+    Entry i of signed row s is G D at every block site r = s mod 2 and rest
+    site j with r - j = delta = i - (N - 1) + s.  It is weighted by the exact
+    integer count of such pairs outside the window: r among the middle sites
+    [w, L - w), or r among the first and last w and j among the rest's middle
+    sites [L + w, N - w).  The mass is a sum of positive terms, never a
+    difference of two masses.  One count matrix serves every chain of a
+    size: the result has one column per chain of rows, shape (k, 2, 2N - 2).
+    """
+    n = rows.shape[-1] // 2 + 1
+    w = 4 * entropy.START_COLUMNS
+    s = np.arange(2)[:, None]
+    delta = np.arange(rows.shape[-1]) - (n - 1) + s
+    squares = np.square(rows).reshape(len(rows), -1).T
+    out = []
+    for chunk in np.array_split(np.asarray(lengths), max(1, len(lengths) // 32)):
+        length = chunk[:, None, None]
+
+        def pairs(r0, r1, c0, c1):
+            # Sites r = s mod 2 in [r0, r1) with r - delta in [c0, c1).
+            lo, hi = np.maximum(r0, c0 + delta), np.minimum(r1, c1 + delta)
+            return np.maximum((hi - s + 1) // 2 - (lo - s + 1) // 2, 0)
+
+        count = (pairs(w, length - w, length, n) + pairs(0, w, length + w, n - w)
+                 + pairs(length - w, length, length + w, n - w))
+        out.append(count.reshape(len(chunk), -1) @ squares)
+    return np.concatenate(out)
+
+
+def test_tail_bound_covers_the_mass_outside_every_window():
+    # The window of B at the cuts may stand in for B only because the
+    # chain's one tail bound is at least B's mass outside it, for every
+    # L > 2 w = 128: checked entry by entry on every point of the grid at
+    # N = 1000 and on a gapped N = 4000 chain.  The count behind that mass
+    # is checked first against B laid out whole, where the outside holds
+    # real mass (the critical chain) and where it holds almost none.
+    w = 4 * entropy.START_COLUMNS
+    for p in (ChainParams(1000, 1.0, 1.0, 0.0), ChainParams(1000, 1.0, 1.3, 0.3)):
+        rows = signed_rows(majorana_table(p))
+        lens = [129, 300, 871, 999]
+        for length, mass in zip(lens, _outside_window_mass(rows[None], lens)[:, 0]):
+            cross = majorana_rows(rows, length, length, 1000)
+            cross[:w, :w] = cross[:w, -w:] = cross[-w:, :w] = cross[-w:, -w:] = 0.0
+            direct = np.square(cross).sum()
+            assert abs(mass - direct) <= 1e-12 * direct, (p, length, mass, direct)
+    # The bound admits exactly the gapped points of the grid.  (Measured:
+    # 6.6e-19 against an outside mass of 1.1e-20 on the bench curve's
+    # seed-1 chain, 1.9e-11 against 4.2e-13 at J_x = J_y = 1, h = 0.2.)
+    points = [(j_x, j_y, h) for j_x in GRID_JX for j_y in GRID_JY for h in GRID_H]
+    rows = np.stack([signed_rows(majorana_table(ChainParams(1000, *point)))
+                     for point in points])
+    tails = np.array([entropy._tail_bound(r) for r in rows])
+    assert list(tails > NU_FLOOR) == [h == 0.0 and j_x != 0.0 for j_x, _, h in points]
+    outside = _outside_window_mass(rows, range(2 * w + 1, 1000))
+    assert np.all(outside <= tails), (outside / tails).max()
+    rows = signed_rows(majorana_table(ChainParams(4000, 1.0, 1.3, 0.3)))
+    tail = entropy._tail_bound(rows)
+    assert tail <= NU_FLOOR, tail
+    assert np.all(_outside_window_mass(rows[None], range(2 * w + 1, 4000)) <= tail)
+    # It admits the corners of the bench curve's draw box, h in [0.3, 0.7]
+    # and J_y / J_x in [0.8, 1.2] (measured: 2.9e-16 at most).
+    for h in (0.3, 0.7):
+        for ratio in (0.8, 1.2):
+            tail = entropy._tail_bound(signed_rows(majorana_table(ChainParams(1000, 1.0, ratio, h))))
+            assert tail <= NU_FLOOR, (h, ratio, tail)
+
+
 def test_a_refused_window_reads_the_whole_cross_block():
-    # At and near the critical point the window at the cuts misses more
-    # than NU_FLOOR of |B|_F^2, so the block lays out its whole B, and its
-    # nu and tau are those of _cross_occupations on that B, bit for bit.
+    # At and near the critical point the chain's tail bound passes
+    # NU_FLOOR, so every low-rank block lays out its whole B, and its nu and
+    # tau are those of _cross_occupations on that B with no tail, bit for
+    # bit.
     for n, j_y, lens in ((1000, 1.0, (250, 499, 500)), (1000, 0.8, (500,)), (2000, 1.0, (999,))):
         rows = signed_rows(majorana_table(ChainParams(n, 1.0, j_y, 0.0)))
+        tail = entropy._tail_bound(rows)
+        assert tail > NU_FLOOR, (n, j_y, tail)
         for length in lens:
-            nu, tau = entropy._cut_occupations(rows, length)
+            nu, tau = entropy._cut_occupations(rows, length, tail)
             cross = majorana_rows(rows, length, length, n)
-            whole = entropy._cross_occupations(cross, cross_mass(rows, length), rows,
-                                               [(0, length)])
+            whole = entropy._cross_occupations(cross, 0.0, rows, [(0, length)])
             assert np.array_equal(nu, whole[0]), (n, j_y, length)
             assert tau == whole[1], (n, j_y, length)
             assert len(nu) == length
 
 
 def test_blocks_do_not_depend_on_the_other_requested_lengths():
-    # Each block is one call that shares only the chain's rows of G D with
-    # the others: one request of several lengths, out of order and two
-    # repeated, gives each block the bits it gets alone.  A short block lays
-    # out its own L x L block once, never a slice of a larger one.  On the
-    # critical chain every long block lays out its whole B; on the gapped
-    # one every long block reads its window.
+    # Each block is one call that shares only the chain's rows of G D, and
+    # its tail bound, with the others: one request of several lengths, out
+    # of order and two repeated, gives each block the bits it gets alone.
+    # A dense block lays out its own L x L block once, never a slice of a
+    # larger one.  On the critical chain every long block lays out its whole
+    # B and every short one its square; on the gapped one every block past
+    # 2 w = 128 sites reads its window, the short ones included, and only
+    # L = 2 lays out a square.
     long_lens, short_lens = [1000, 900, 800, 700, 600, 500, 800], [499, 300, 130, 2, 300]
     for h, whole in ((0.0, True), (0.5, False)):
         p = ChainParams(2000, 1.0, 1.0, h)
@@ -568,7 +644,7 @@ def test_blocks_do_not_depend_on_the_other_requested_lengths():
         wholes = [length for length, start, stop in calls if (start, stop) == (length, 2000)]
         squares = [length for length, start, stop in calls if (start, stop) == (0, length)]
         assert sorted(wholes) == (sorted(set(long_lens)) if whole else []), (h, wholes)
-        assert sorted(squares) == sorted(set(short_lens)), (h, squares)
+        assert sorted(squares) == (sorted(set(short_lens)) if whole else [2]), (h, squares)
         assert all(entropy._low_rank_pays(2000, length) for length in long_lens)
         for length, nu in together:
             [(_, alone)] = block_spectra(p, [length])
@@ -617,6 +693,45 @@ def test_gapped_area_law_far_past_a_thousand_sites(n, j_y, h):
     assert peak < 20e6, peak
 
 
+def test_gapped_curve_far_past_a_thousand_sites_reads_windows():
+    # The chain is tested for "gapped" once: every block past 2 w = 128
+    # sites then reads its window at the cuts, so a curve up to L = 500 of
+    # an N = 100 000 chain costs about what it costs at N = 1000, with no
+    # L x L eigensolve past L = 128 (measured: 0.14 s; 0.9 s when every
+    # block below N/4 was dense).  From L = 130 on the entropy is the
+    # elliptic ladder's (measured: within 2.6e-14 bits).
+    p, lens = ChainParams(100_000, 1.0, 1.3, 0.3), range(2, 501, 2)
+    block_entropy_curve(p, [2])
+    with mock.patch.object(entropy, "majorana_occupations",
+                           wraps=majorana_occupations) as dense:
+        t0 = time.monotonic()
+        curve = block_entropy_curve(p, lens)
+        elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, elapsed
+    assert [len(call.args[0]) for call in dense.call_args_list] == list(range(2, 129, 2))
+    worst = max(abs(bits - block_entropy_closed(1.0, 1.3, 0.3, length))
+                for length, bits in curve if length >= 130)
+    assert worst <= 1e-12, worst
+
+
+def test_curve_keeps_one_block_alive_at_a_time():
+    # block_entropy_curve reduces each block to bits as it comes, so its
+    # traced peak is one block's arrays, not every block's nu at once.  The
+    # chain is the bench curve's seed-1 draw (measured: 0.33 MB; 1.1 MB
+    # when the curve held every nu until the end).
+    rng = random.Random(1)
+    h, ratio = rng.uniform(0.3, 0.7), rng.uniform(0.8, 1.2)
+    p, lens = ChainParams(1000, 1.0, ratio, h), range(2, 501, 2)
+    block_entropy_curve(p, lens)
+    tracemalloc.start()
+    try:
+        block_entropy_curve(p, lens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6e6, peak
+
+
 def test_gapped_blocks_certify_before_the_power_step(monkeypatch):
     # A gapped chain entangles only the few modes next to the two cuts, and
     # the start columns already span them: the certificate passes on the
@@ -637,7 +752,8 @@ def test_gapped_blocks_certify_before_the_power_step(monkeypatch):
     def qr_count(table, length):
         nonlocal qr_calls
         qr_calls = 0
-        _, tau = entropy._cut_occupations(signed_rows(table), length)
+        rows = signed_rows(table)
+        _, tau = entropy._cut_occupations(rows, length, entropy._tail_bound(rows))
         assert tau <= 4.0 * NU_FLOOR, tau
         return qr_calls
 

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from kitaevchain import oracle
-from kitaevchain.entropy import _low_rank_pays, block_entropy_curve
+from kitaevchain.entropy import (
+    _low_rank_pays,
+    block_entropy_curve,
+    block_spectra,
+    entanglement_spectrum,
+)
 from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import (
     ChainParams,
@@ -14,6 +19,7 @@ from kitaevchain.model import (
     ground_energy,
     momentum_grid,
 )
+from kitaevchain.pairing import majorana_rows, majorana_table, signed_rows
 
 
 def test_params_require_multiple_of_four_sites():
@@ -27,6 +33,26 @@ def test_params_require_multiple_of_four_sites():
     for bad in (12.0, 12.5, "12", None):
         with pytest.raises(ParameterError, match="n_sites must be an integer"):
             ChainParams(bad)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=str)
+def test_bools_are_not_integers(flag):
+    # bool subclasses int, so operator.index alone would read True as 1.
+    p = ChainParams(8, 1.0, 1.0, 0.5)
+    rows = signed_rows(majorana_table(p))
+    calls = {
+        "n_sites": lambda: ChainParams(flag),
+        "block_len": lambda: block_entropy_curve(p, [flag]),
+        "count": lambda: entanglement_spectrum(np.array([0.5]), flag),
+        "start": lambda: majorana_rows(rows, 4, flag, 8),
+        "stop": lambda: majorana_rows(rows, 4, 0, flag),
+        "first": lambda: majorana_rows(rows, 4, 0, 8, first=flag),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            call()
+    with pytest.raises(ParameterError, match="block_len must be an integer"):
+        block_spectra(p, [2, flag])
 
 
 @pytest.mark.parametrize("field", ["j_x", "j_y", "h_field"])
