@@ -18,17 +18,17 @@ takes one symmetric eigensolve of its own L x L block A of G D.  A long one
 takes the few large singular values of its L x (N - L) cross block B to the
 rest of the ring, and forms no L x L problem.  A gapped chain entangles a
 fixed number of modes at each cut: once one bound per chain (_tail_bound)
-shows that, every block past 128 sites reads only the corners of B at its
-two cuts.  Other chains, at and near the critical point, pick a route per
-block by a flop and size rule and read the whole B.  On either it checks a
-certificate on the columns next to the cuts first, takes one power step only
-if that check fails, and grows the subspace until any mode it missed would
-fall under NU_FLOOR.  It takes the modes nearest nu = 1/2 from A projected
-on their Ritz vectors, laid out a panel at a time.  Both the momentum and
-the reference route hand each block's nu, one plain array, to
-schmidt_numbers, whose one rule is that floor.  It, block_entropy and
-entanglement_spectrum all refuse anything but one real number or a 1-d array
-of them, NaN, and any entry outside [0, 1].
+shows that, each block past 64 sites with L or N - L past 128 reads only the
+corners of B at its two cuts.  Other blocks, and every one at and near the
+critical point, take a flop and size rule, and read the whole B if low rank.
+On the window or the whole B it checks a certificate on the columns next to
+the cuts first, takes one power step only if that check fails, and grows the
+subspace until any mode it missed would fall under NU_FLOOR.  It takes the
+modes nearest nu = 1/2 from A projected on their Ritz vectors, laid out a
+panel at a time.  Both the momentum and the reference route hand each block's
+nu, one plain array, to schmidt_numbers, whose one rule is that floor.  It,
+block_entropy and entanglement_spectrum all refuse anything but one real
+number or a 1-d array of them, NaN, and any entry outside [0, 1].
 fit_log_slope fits a curve's entropy against log2 of the block length.
 """
 
@@ -180,7 +180,7 @@ def _low_rank_pays(n_sites: int, block_len: int) -> bool:
     block pays more, restarting at 2 k and 4 k: the dense route stays faster
     up to L = N/4 at N = 4000 and L = N/2 at N = 1000.  The rule serves the
     chains whose _tail_bound refuses the window; on a gapped one it decides
-    only blocks of at most 128 sites, 16 of them low-rank (N <= 152).
+    only blocks with L <= 64 or N - L <= 128, 16 of them low-rank (N <= 152).
     """
     rest = n_sites - block_len
     dense = 4 * block_len**3 / 3
@@ -329,17 +329,21 @@ def _cut_occupations(signed: np.ndarray, length: int, tail: float) -> tuple[np.n
 def _floored_spectra(p: ChainParams, lens: list):
     """(L, schmidt_numbers of its nu) for each distinct L of lens, in order.
 
-    Blocks share only signed_rows and, once some L passes 2 w = 128, the
-    chain's one _tail_bound.  Where that admits the window, every block past
-    2 w reads it; every other block takes the route _low_rank_pays picks.
+    Blocks share only signed_rows and, once some L passes the size test
+    (L > w = 4 START_COLUMNS, and L or N - L past 2 w = 128, so the window
+    is a proper part of B), the chain's one _tail_bound.  Where that admits
+    the window, every block past the test reads it; every other block takes
+    the route _low_rank_pays picks.
     """
     if not lens:
         return
     rows = signed_rows(majorana_table(p))
     width = 4 * START_COLUMNS
-    tail = _tail_bound(rows) if max(lens) > 2 * width else np.inf
-    for length in dict.fromkeys(lens):
-        if length > 2 * width and tail <= NU_FLOOR:
+    windowed = {length: length > width and max(length, p.n_sites - length) > 2 * width
+                for length in lens}
+    tail = _tail_bound(rows) if any(windowed.values()) else np.inf
+    for length in windowed:
+        if windowed[length] and tail <= NU_FLOOR:
             nu = _cut_occupations(rows, length, tail)[0]
         elif _low_rank_pays(p.n_sites, length):
             nu = _cut_occupations(rows, length, np.inf)[0]

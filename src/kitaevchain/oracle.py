@@ -12,6 +12,7 @@ the brute-force bounds SizeError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import linalg
 from .exceptions import KitaevChainError, ParameterError, SizeError
-from .model import ChainParams, _index
+from .model import ChainParams, _index, unit_scaled
 
 MAX_ORACLE_SITES = 16
 MAX_DENSE_SITES = 8
@@ -83,9 +84,13 @@ def ed_ground(p: ChainParams):
     Converged to a relative residual of linalg.LANCZOS_TOL = 1e-14 from a
     start vector of seed linalg.LANCZOS_SEED = 0.  Intended for h != 0 where
     the ground state is unique; at h = 0 it returns one member of the
-    degenerate manifold, fixed by that seed.
+    degenerate manifold, fixed by that seed.  It runs on the unit_scaled
+    chain, since below |theta| = 1 the residual test turns absolute.
     """
-    return linalg.iterative_ground_pair(lambda v: apply_hamiltonian(p, v), 1 << p.n_sites)
+    unit, e = unit_scaled(p)
+    theta, state = linalg.iterative_ground_pair(lambda v: apply_hamiltonian(unit, v),
+                                                1 << p.n_sites)
+    return math.ldexp(theta, e), state
 
 
 @dataclass(frozen=True)

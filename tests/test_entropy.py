@@ -449,11 +449,13 @@ def test_jin_korepin_constant_matches_its_integral():
 def _both_routes(n_sites: int, j_x: float, j_y: float, h: float, lens: tuple) -> list:
     """(dense bits, low-rank bits, tau, dense nu, low-rank nu, whole) per length, each route forced.
 
-    The low-rank side runs what block_spectra runs on a low-rank block past
-    2 w = 128 sites: the window at the cuts where the chain's tail bound
-    admits it, the whole B otherwise.  whole says whether it laid out the
-    whole cross block, the one majorana_rows call over B's columns (L, N).
-    Both nu arrays are floored by schmidt_numbers.
+    The low-rank side runs _cut_occupations at the chain's tail bound: the
+    window at the cuts where that admits it, the whole B otherwise.  That is
+    what block_spectra runs on a block past 2 w = 128 sites, and on one past
+    w = 64 whose N - L passes 2 w where the bound admits the window.  whole
+    says whether it laid out the whole cross block, the one majorana_rows
+    call over B's columns (L, N).  Both nu arrays are floored by
+    schmidt_numbers.
     """
     rows = signed_rows(majorana_table(ChainParams(n_sites, j_x, j_y, h)))
     tail = entropy._tail_bound(rows)
@@ -461,7 +463,7 @@ def _both_routes(n_sites: int, j_x: float, j_y: float, h: float, lens: tuple) ->
     out = []
     with mock.patch.object(entropy, "majorana_rows", wraps=majorana_rows) as layout:
         for length in lens:
-            assert length > 8 * entropy.START_COLUMNS, length
+            assert length > 4 * entropy.START_COLUMNS, length
             low_rank, tau = entropy._cut_occupations(rows, length, tail)
             whole = [call.args[2:] == (length, n_sites) for call in layout.call_args_list]
             assert whole.count(True) <= 1, whole
@@ -545,10 +547,11 @@ def _outside_window_mass(rows: np.ndarray, lengths) -> np.ndarray:
     Entry i of signed row s is G D at every block site r = s mod 2 and rest
     site j with r - j = delta = i - (N - 1) + s.  It is weighted by the exact
     integer count of such pairs outside the window: r among the middle sites
-    [w, L - w), or r among the first and last w and j among the rest's middle
-    sites [L + w, N - w).  The mass is a sum of positive terms, never a
-    difference of two masses.  One count matrix serves every chain of a
-    size: the result has one column per chain of rows, shape (k, 2, 2N - 2).
+    [w, L - w), or r among the first and last w (all L of them when L <= 2 w,
+    counted once) and j among the rest's middle sites [L + w, N - w).  The
+    mass is a sum of positive terms, never a difference of two masses.  One
+    count matrix serves every chain of a size: the result has one column per
+    chain of rows, shape (k, 2, 2N - 2).
     """
     n = rows.shape[-1] // 2 + 1
     w = 4 * entropy.START_COLUMNS
@@ -564,8 +567,9 @@ def _outside_window_mass(rows: np.ndarray, lengths) -> np.ndarray:
             lo, hi = np.maximum(r0, c0 + delta), np.minimum(r1, c1 + delta)
             return np.maximum((hi - s + 1) // 2 - (lo - s + 1) // 2, 0)
 
-        count = (pairs(w, length - w, length, n) + pairs(0, w, length + w, n - w)
-                 + pairs(length - w, length, length + w, n - w))
+        count = (pairs(w, length - w, length, n)
+                 + pairs(0, np.minimum(w, length), length + w, n - w)
+                 + pairs(np.maximum(w, length - w), length, length + w, n - w))
         out.append(count.reshape(len(chunk), -1) @ squares)
     return np.concatenate(out)
 
@@ -573,14 +577,15 @@ def _outside_window_mass(rows: np.ndarray, lengths) -> np.ndarray:
 def test_tail_bound_covers_the_mass_outside_every_window():
     # The window of B at the cuts may stand in for B only because the
     # chain's one tail bound is at least B's mass outside it, for every
-    # L > 2 w = 128: checked entry by entry on every point of the grid at
+    # L > w = 64: checked entry by entry on every point of the grid at
     # N = 1000 and on a gapped N = 4000 chain.  The count behind that mass
     # is checked first against B laid out whole, where the outside holds
-    # real mass (the critical chain) and where it holds almost none.
+    # real mass (the critical chain) and where it holds almost none, at
+    # lengths whose window takes all L rows too.
     w = 4 * entropy.START_COLUMNS
     for p in (ChainParams(1000, 1.0, 1.0, 0.0), ChainParams(1000, 1.0, 1.3, 0.3)):
         rows = signed_rows(majorana_table(p))
-        lens = [129, 300, 871, 999]
+        lens = [1, 64, 65, 100, 128, 129, 300, 871, 999]
         for length, mass in zip(lens, _outside_window_mass(rows[None], lens)[:, 0]):
             cross = majorana_rows(rows, length, length, 1000)
             cross[:w, :w] = cross[:w, -w:] = cross[-w:, :w] = cross[-w:, -w:] = 0.0
@@ -594,12 +599,12 @@ def test_tail_bound_covers_the_mass_outside_every_window():
                      for point in points])
     tails = np.array([entropy._tail_bound(r) for r in rows])
     assert list(tails > NU_FLOOR) == [h == 0.0 and j_x != 0.0 for j_x, _, h in points]
-    outside = _outside_window_mass(rows, range(2 * w + 1, 1000))
+    outside = _outside_window_mass(rows, range(w + 1, 1000))
     assert np.all(outside <= tails), (outside / tails).max()
     rows = signed_rows(majorana_table(ChainParams(4000, 1.0, 1.3, 0.3)))
     tail = entropy._tail_bound(rows)
     assert tail <= NU_FLOOR, tail
-    assert np.all(_outside_window_mass(rows[None], range(2 * w + 1, 4000)) <= tail)
+    assert np.all(_outside_window_mass(rows[None], range(w + 1, 4000)) <= tail)
     # It admits the corners of the bench curve's draw box, h in [0.3, 0.7]
     # and J_y / J_x in [0.8, 1.2] (measured: 2.9e-16 at most).
     for h in (0.3, 0.7):
@@ -633,9 +638,9 @@ def test_blocks_do_not_depend_on_the_other_requested_lengths():
     # A dense block lays out its own L x L block once, never a slice of a
     # larger one.  On the critical chain every long block lays out its whole
     # B and every short one its square; on the gapped one every block past
-    # 2 w = 128 sites reads its window, the short ones included, and only
+    # w = 64 sites reads its window, the short ones included, and only
     # L = 2 lays out a square.
-    long_lens, short_lens = [1000, 900, 800, 700, 600, 500, 800], [499, 300, 130, 2, 300]
+    long_lens, short_lens = [1000, 900, 800, 700, 600, 500, 800], [499, 300, 130, 100, 2, 300]
     for h, whole in ((0.0, True), (0.5, False)):
         p = ChainParams(2000, 1.0, 1.0, h)
         with mock.patch.object(entropy, "majorana_rows", wraps=majorana_rows) as layout:
@@ -694,10 +699,10 @@ def test_gapped_area_law_far_past_a_thousand_sites(n, j_y, h):
 
 
 def test_gapped_curve_far_past_a_thousand_sites_reads_windows():
-    # The chain is tested for "gapped" once: every block past 2 w = 128
-    # sites then reads its window at the cuts, so a curve up to L = 500 of
-    # an N = 100 000 chain costs about what it costs at N = 1000, with no
-    # L x L eigensolve past L = 128 (measured: 0.14 s; 0.9 s when every
+    # The chain is tested for "gapped" once: every block past w = 64 sites
+    # then reads its window at the cuts, so a curve up to L = 500 of an
+    # N = 100 000 chain costs about what it costs at N = 1000, with no
+    # L x L eigensolve past L = 64 (measured: 0.14 s; 0.9 s when every
     # block below N/4 was dense).  From L = 130 on the entropy is the
     # elliptic ladder's (measured: within 2.6e-14 bits).
     p, lens = ChainParams(100_000, 1.0, 1.3, 0.3), range(2, 501, 2)
@@ -708,10 +713,62 @@ def test_gapped_curve_far_past_a_thousand_sites_reads_windows():
         curve = block_entropy_curve(p, lens)
         elapsed = time.monotonic() - t0
     assert elapsed < 1.0, elapsed
-    assert [len(call.args[0]) for call in dense.call_args_list] == list(range(2, 129, 2))
+    assert [len(call.args[0]) for call in dense.call_args_list] == list(range(2, 65, 2))
     worst = max(abs(bits - block_entropy_closed(1.0, 1.3, 0.3, length))
                 for length, bits in curve if length >= 130)
     assert worst <= 1e-12, worst
+
+
+def _bench_curve_chain(seed: int) -> tuple:
+    """(N, J_x, J_y, h) of the bench curve's draw: h in [0.3, 0.7], J_y / J_x in [0.8, 1.2]."""
+    rng = random.Random(seed)
+    h, ratio = rng.uniform(0.3, 0.7), rng.uniform(0.8, 1.2)
+    return 1000, 1.0, ratio, h
+
+
+def test_gapped_blocks_past_64_sites_read_their_window():
+    # A block of 65..128 sites whose N - L passes 2 w = 128 reads the window
+    # of B at the cuts where the chain's tail bound admits it: all its L rows
+    # against the 64 columns past each cut, a proper part of B.  Against the
+    # dense route it meets the long blocks' bounds on every gapped point of
+    # the grid and on the bench curve's seeds 1, 7, 23 and 113 (measured:
+    # 2.1e-13 bits, 3.2e-15 per mode, tau <= 3.7e-14.  Over every L in
+    # 65..128 it reads 5.6e-13 bits and 1.1e-14 per mode, from one mode at
+    # nu = 1.13e-14 that the dense route puts under NU_FLOOR.)
+    lens = (65, 100, 128)
+    points = [point[:4] for point in _route_grid()
+              if point[0] == 1000 and not (point[3] == 0.0 and point[1] != 0.0)]
+    points += [_bench_curve_chain(seed) for seed in (1, 7, 23, 113)]
+    assert len(points) == 52
+    worst = worst_nu = worst_tau = 0.0
+    for point in points:
+        for dense, window, tau, dense_nu, window_nu, whole in _both_routes(*point, lens):
+            assert not whole, point
+            worst = max(worst, abs(dense - window))
+            worst_nu = max(worst_nu, np.abs(dense_nu - window_nu).max())
+            worst_tau = max(worst_tau, tau)
+    assert worst <= 1e-12, worst
+    assert worst_nu <= 1e-13, worst_nu
+    assert worst_tau <= 4.0 * NU_FLOOR, worst_tau
+    # block_spectra takes that route: past L = 64 no block is dense.
+    p = ChainParams(*_bench_curve_chain(1))
+    with mock.patch.object(entropy, "majorana_occupations",
+                           wraps=majorana_occupations) as dense:
+        block_spectra(p, [64, 65, 100, 128, 129])
+    assert [len(call.args[0]) for call in dense.call_args_list] == [64]
+
+
+def test_a_block_whose_window_is_all_of_b_stays_dense_without_a_tail_bound():
+    # At N = 200 a block of 100 sites (the scan's) leaves N - L = 100 <= 2 w:
+    # its window would be the whole B.  So it keeps the dense route, and the
+    # chain's tail bound, about 19 us, is never computed.
+    p = ChainParams(200, 1.0, 1.0, 0.5)
+    with (mock.patch.object(entropy, "_tail_bound", wraps=entropy._tail_bound) as tail,
+          mock.patch.object(entropy, "majorana_occupations",
+                            wraps=majorana_occupations) as dense):
+        block_entropy_curve(p, [100])
+    assert tail.call_count == 0
+    assert [len(call.args[0]) for call in dense.call_args_list] == [100]
 
 
 def test_curve_keeps_one_block_alive_at_a_time():
@@ -719,9 +776,7 @@ def test_curve_keeps_one_block_alive_at_a_time():
     # traced peak is one block's arrays, not every block's nu at once.  The
     # chain is the bench curve's seed-1 draw (measured: 0.33 MB; 1.1 MB
     # when the curve held every nu until the end).
-    rng = random.Random(1)
-    h, ratio = rng.uniform(0.3, 0.7), rng.uniform(0.8, 1.2)
-    p, lens = ChainParams(1000, 1.0, ratio, h), range(2, 501, 2)
+    p, lens = ChainParams(*_bench_curve_chain(1)), range(2, 501, 2)
     block_entropy_curve(p, lens)
     tracemalloc.start()
     try:

@@ -294,6 +294,20 @@ def test_compare_entropies_measure_the_pipeline(j_y, h):
     assert rpt.max_abs_diff < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-8, 1e-12, 1e-14, 1e-300, 1e300])
+def test_oracle_converges_at_every_coupling_scale(scale):
+    # The chain (1, 0.8, 0.5) rescaled has the same ground state.  Lanczos'
+    # residual test is relative only for |theta| >= 1, so on the raw chain
+    # it stopped early below that: 2.3e-3 bits at 1e-12, 0.35 at 1e-14.
+    # On the unit-scaled chain every scale reads within 2.5e-14 bits.
+    p = ChainParams(8, scale, 0.8 * scale, 0.5 * scale)
+    rpt = oracle.compare_entropies(p, range(2, 7))
+    assert rpt.passed is True
+    assert rpt.max_abs_diff < 1e-12, rpt.max_abs_diff
+    energy, _ = oracle.ed_ground(p)
+    assert abs(energy / ground_energy(p) - 1.0) < 1e-12, (energy, ground_energy(p))
+
+
 def test_compare_entropies_product_limit():
     rpt = oracle.compare_entropies(ChainParams(8, 0.0, 0.0, 1.0), [1, 2, 4])
     for _, fast, slow, _ in rpt.rows:
