@@ -26,15 +26,19 @@ of nu goes on to bits with no rule but entropy.NU_FLOOR:
   vacuum, Z = sum_{l<m} z_{lm} c+_l c+_m, through the momentum pair
   amplitudes and their Fourier coefficients beta_n(x), as the two
   Toeplitz rows of the N x N site-pair matrix gamma; a PairingMatrix
-  is built from those rows alone.  Z = gamma - gamma^T
-  couples the sublattices through one Hankel, hence symmetric, N/2 x N/2
-  block S, whose N - 1 distinct entries are differences of those rows.
-  One eigensolve of S, cached on the PairingMatrix, gives every block of
-  G D as Gram products of the block's rows of the eigenvectors; the full C
-  and F are the split of the block at L = N.  The N x N gamma is laid out
-  only if it is read.  It costs one (N/2)^3 eigensolve plus O(N L^2) per
-  block and is the independent reference: it shares only the dispersion,
-  the rescaling and the momentum grid of model with the momentum route.
+  is built from those rows alone.  Z = gamma - gamma^T is
+  translation-invariant over the two-site cell of the antiperiodic ring,
+  so 1 + Z is block skew-circulant and G = 2 (1 + Z)^{-1} - 1 is one
+  2 x 2 inverse per cell momentum: one FFT of Z's two nonzero cell
+  columns, differences of those rows, and one inverse FFT give G's table
+  per cell separation, cached on the PairingMatrix.  The block of G D is
+  laid out from it by signed_rows and majorana_rows, and the full C and F
+  are the split of the N x N G D.  The N x N gamma is laid out only if it
+  is read.  It costs O(N log N) plus one L x L eigensolve per block and is
+  the independent reference: it shares only the dispersion, the rescaling
+  and the momentum grid of model, and the layout of G D from a table,
+  with the momentum route.  The dense eigensolve of Z's Hankel block,
+  which assumes no translation structure, is the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -82,10 +86,10 @@ class PairingMatrix:
     Indices are 1-based in formulas and documentation; storage is 0-based.
     Only the antisymmetric part gamma - gamma^T enters any physical result.
     The instance holds the two Toeplitz rows real_space_gamma lays gamma out
-    from, over the 2N - 1 separations: the eigensolve reads the Hankel block
+    from, over the 2N - 1 separations: G's table reads Z's cell columns
     straight off them, and the N x N gamma is laid out only on its first
-    read.  The eigenpairs of the Hankel block and the correlation matrices
-    are cached on the instance because every block size reuses them.
+    read.  The table and the correlation matrices are cached on the
+    instance because every block size reuses them.
     """
 
     def __init__(self, n_sites: int, rows: tuple[np.ndarray, np.ndarray]):
@@ -105,27 +109,44 @@ class PairingMatrix:
         return gamma
 
     @cached_property
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs (lambda, V) of the Hankel block S of Z = gamma - gamma^T.
+    def table(self) -> np.ndarray:
+        """G = 2 (1 + Z)^{-1} - 1 per cell separation, laid out as majorana_table's.
 
-        Z couples the even sites (0-based) only to the odd ones, through the
-        n x n block Y = gamma_eo - gamma_oe^T, n = N/2.  Y is Toeplitz in the
-        cell separation, so with R reversing the odd sites S = Y R is Hankel
-        and exactly symmetric: S[i, j] = h[i + j].  h is gathered from gamma's
-        two Toeplitz rows, h[k] = from_even[2k] - from_odd[2N - 2 - 2k], the
-        same subtractions the N x N layout would give, and no N x N array is
-        formed.  This is the route's one factorization, S = V diag(lambda) V^T,
-        which every block size and the correlations share.
+        Z = gamma - gamma^T couples each sublattice only to the other, and
+        it is translation-invariant over the two-site cell with the
+        antiperiodic wrap Z(d) = -Z(d + N/2), so 1 + Z is block
+        skew-circulant and so is its inverse.  Its two nonzero cell
+        columns, z01(d) = Z[2d, 1] and z10(d) = Z[2d + 1, 0], are
+        differences of gamma's two Toeplitz rows (entry l - m + N - 1 of
+        row l mod 2 is gamma[l, m]), the same subtractions the N x N
+        layout would give.  One FFT twisted by e^{-i pi d / (N/2)} takes
+        them to Z's 2 x 2 symbol at each cell momentum, where G's symbol is
+        2 (1 + Z)^{-1} - 1, and one inverse FFT brings G back.  The 2 x 2
+        inverses are pivoted solves, so a symbol whose square overflows
+        (|h| / J past about 1e154 at h < 0) still gives G.  O(N log N)
+        time and O(N) memory; no N x N array is formed.
         """
+        n, cells = self.n_sites, self.n_sites // 2
         from_even, from_odd = self.rows
-        hankel = sliding_window_view(from_even[:-1:2] - from_odd[:1:-2], self.n_sites // 2)
-        return np.linalg.eigh(hankel)
+        z01 = from_even[n - 2 : -2 : 2] - from_odd[n:1:-2]
+        z10 = from_odd[n::2] - from_even[n - 2 :: -2]
+        twist = np.exp(1j * np.pi * np.arange(cells) / cells)
+        z01, z10 = np.fft.fft(np.stack([z01, z10]) / twist)
+        one = np.ones(cells)
+        inverse = np.linalg.inv(np.stack([[one, z01], [z10, one]]).transpose(2, 0, 1))
+        symbols = 2.0 * inverse - np.eye(2)
+        return (twist * np.fft.ifft(symbols.transpose(1, 2, 0))).real
 
     @cached_property
     def correlations(self) -> tuple[np.ndarray, np.ndarray]:
-        """(C, F), split off the full N x N block of G D (see pair_correlations)."""
+        """(C, F), split off the full N x N G D (see pair_correlations)."""
         n = self.n_sites
-        gmat = _reference_block(self, n)
+        rows = signed_rows(self.table)
+        # As in majorana_rows: row 2a + s of G D is the reversed window of
+        # rows[s] that starts at 2a.
+        gmat = np.empty((n, n))
+        for s in (0, 1):
+            gmat[s::2] = sliding_window_view(rows[s], n)[::2, ::-1]
         gmat *= (-1.0) ** np.arange(n)
         return 0.5 * np.eye(n) - 0.25 * (gmat + gmat.T), 0.25 * (gmat - gmat.T)
 
@@ -164,7 +185,7 @@ def real_space_gamma(p: ChainParams) -> PairingMatrix:
     are +2 and -2.  So each parity of l reads one row, -2 (Re beta_1 +
     Im beta_2) or 2 (Re beta_1 - Im beta_2), as a Toeplitz matrix in l - m
     over the row's 2N - 1 separations.  The returned PairingMatrix carries
-    those two rows: the reference route reads its Hankel block from them,
+    those two rows: the reference route reads Z's cell columns from them,
     and the N x N gamma, with only its opposite-parity entries written, is
     laid out from them when it is first read.
     """
@@ -183,46 +204,12 @@ def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
     (1 + Z^T Z)^{-1} = 1 - C and (W - W^T)/2 = F: G = 1 - 2C + 2F = 2W - 1,
     the Cayley form of a pure Gaussian state.
 
-    C and F are split off the full N x N block of G D, which
-    _reference_block lays out as it does every smaller block: G = (G D) D,
-    C = (1 - (G + G^T)/2) / 2 and F = (G - G^T) / 4.  That block is exactly
-    symmetric, so C is exactly symmetric and F exactly antisymmetric.  The
-    pair is cached on g.
+    C and F are split off the full N x N G D, laid out from the PairingMatrix's
+    table as block_coupling lays out every smaller block: G = (G D) D,
+    C = (1 - (G + G^T)/2) / 2 and F = (G - G^T) / 4, so C is exactly
+    symmetric and F exactly antisymmetric.  The pair is cached on g.
     """
     return g.correlations
-
-
-def _reference_block(g: PairingMatrix, block_len: int) -> np.ndarray:
-    """The leading block_len x block_len block of G D, from gamma.
-
-    In the basis (even sites, odd sites reversed) 1 + Z = [[1, S], [-S, 1]],
-    the real form of 1 - iS, so W = (1 + Z)^{-1} = [[P, -SP], [SP, P]] with
-    P = (1 + S^2)^{-1}, and G D = 2 W D - D.  Back in site order, with R
-    reversing the odd sites, 2 W D has the blocks 2P (even-even), -2 R P R
-    (odd-odd) and 2 S P R (even-odd), whose transpose 2 R S P is the
-    odd-even block.  From S = V diag(lambda) V^T these are Gram products of
-    the block's own rows of V, scaled by sqrt(2 w) with
-    w = 1 / (1 + lambda^2): the leading rows for the even sites, the
-    trailing rows reversed for the odd ones, and lambda once more on the
-    cross block.  The weights w and lambda w are bounded by 1 and 1/2, and
-    S is never multiplied by itself, so nothing squares its conditioning.
-    The even-even and odd-odd products are symmetric by construction and
-    the odd-even block is written as the transpose of the even-odd one, so
-    the block is exactly symmetric.  The cost is O(N L) memory and
-    O(N L^2) time after the eigensolve.
-    """
-    lam, v = g.eigenpairs
-    scale = np.sqrt(2.0) / np.hypot(1.0, lam)
-    even = v[: (block_len + 1) // 2] * scale
-    odd = v[::-1][: block_len // 2] * scale
-    block = np.empty((block_len, block_len))
-    block[0::2, 0::2] = even @ even.T
-    block[1::2, 1::2] = -(odd @ odd.T)
-    even *= lam
-    block[0::2, 1::2] = even @ odd.T
-    block[1::2, 0::2] = block[0::2, 1::2].T
-    block[np.diag_indices(block_len)] -= (-1.0) ** np.arange(block_len)
-    return block
 
 
 def _check_block_len(n_sites: int, block_len: int) -> int:
@@ -350,9 +337,9 @@ def majorana_rows(
 def block_coupling(g: PairingMatrix, block_len: int) -> np.ndarray:
     """The block's occupations after block_len sites, one plain descending array.
 
-    The reference route: the block of G D is laid out from the cached
-    eigenpairs of gamma's N/2 x N/2 Hankel block (see _reference_block) and
-    goes through majorana_occupations.  No N x N array is formed.
+    The reference route: the block of G D is laid out from the table cached
+    on g, G = 2 (1 + Z)^{-1} - 1 inverted one cell momentum at a time (see
+    PairingMatrix.table), by signed_rows and majorana_rows, and goes through
+    majorana_occupations.  No N x N array is formed.
     """
-    _check_block_len(g.n_sites, block_len)
-    return majorana_occupations(_reference_block(g, block_len))
+    return majorana_occupations(majorana_rows(signed_rows(g.table), block_len, 0, block_len))

@@ -267,10 +267,10 @@ def test_the_floor_leaves_at_most_min_l_n_minus_l_modes():
     # at most, measured over every L > N/2 at N = 200 and the whole grid);
     # the low-rank route finds at most k <= min(L, N - L) nonzero nu by
     # construction.  Each point at N = 200 costs two eigensolves per length,
-    # so it takes h = 20 only, where both the dense and the reference route
-    # came out noisiest at J_x = 1.
+    # so it takes h = 20, where the dense route came out noisiest at
+    # J_x = 1, and J_y = 0.8, h = -0.7, where the reference route did.
     points = [(12, j_x, j_y, h) for j_x in GRID_JX for j_y in GRID_JY for h in GRID_H]
-    points += [(200, 1.0, j_y, 20.0) for j_y in GRID_JY]
+    points += [(200, 1.0, j_y, 20.0) for j_y in GRID_JY] + [(200, 1.0, 0.8, -0.7)]
     for n, j_x, j_y, h in points:
         p = ChainParams(n, j_x, j_y, h)
         rows, g = signed_rows(majorana_table(p)), real_space_gamma(p)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import reference_route
 
 from kitaevchain import cli, oracle, pairing
 from kitaevchain.entropy import (
@@ -237,17 +238,20 @@ CROSS_ROUTE_POINTS = [(0.8, -0.7), (0.8, 0.0), (0.8, 0.3), (0.8, 5.0), (1.0, -5.
 @pytest.mark.parametrize("n", [16, 200, 1000, 2000])
 def test_momentum_block_matches_real_space_correlations(n):
     # Two independent routes to G = 1 - 2C + 2F: 2 x 2 momentum symbols
-    # against one eigensolve of the N/2 x N/2 Hankel block S of Z on the
-    # paper's gamma.  At J_y = 1, h = -5 the matrix 1 + S^2 is ill-conditioned:
+    # against the dense oracle of tests/reference_route.py, one eigensolve of
+    # the N/2 x N/2 Hankel block S of Z on the paper's gamma, which uses no
+    # translation structure.  At J_y = 1, h = -5 the matrix 1 + S^2 is ill-conditioned:
     # solving with it (or with the Schur complement 1 + Y^T Y) instead of
     # weighting the eigenvalues of S lands ~1e-12 off at N = 1000; N = 2000
-    # runs that point alone.  Both sides carry the sublattice signs
+    # runs that point alone, and checks the reference route's occupations
+    # against the oracle's there too.  Both sides carry the sublattice signs
     # D = diag((-1)^j) on their columns; D G D = G^T makes each signed block
-    # symmetric, exactly so on the reference route, and the eigensolve reads
+    # symmetric, exactly so on the dense oracle, and the eigensolve reads
     # only its lower triangle.
     for j_y, h in CROSS_ROUTE_POINTS if n <= 1000 else [(1.0, -5.0)]:
         p = ChainParams(n, 1.0, j_y, h)
-        c, f = pair_correlations(real_space_gamma(p))
+        g = real_space_gamma(p)
+        c, f = reference_route.correlations(g)
         reference = (np.eye(n) - 2.0 * c + 2.0 * f) * (-1.0) ** np.arange(n)
         assert np.array_equal(reference, reference.T), (j_y, h)
         table = majorana_table(p)
@@ -263,6 +267,8 @@ def test_momentum_block_matches_real_space_correlations(n):
             cross = majorana_rows(rows, length, length, n)
             err = np.abs(cross - reference[:length, length:]).max()
             assert err <= 1e-13, (j_y, h, length, err)
+        if n == 2000:
+            _occupations_match_dense_oracle(g)
 
 
 SVD_GRID = [(j_y, h) for j_y in (0.8, 1.0, 1.3) for h in (-5.0, -0.7, 0.0, 0.3, 5.0, 20.0)]
@@ -346,38 +352,46 @@ def test_correlations_match_inverse_of_one_plus_z(j_y, h):
     assert np.abs(f - 0.5 * (w - w.T)).max() <= 1e-13
 
 
-def test_one_eigensolve_per_gamma(monkeypatch):
-    # Every block size and the full C and F share one eigensolve of S.
-    shapes = []
-    eigh = np.linalg.eigh
+def test_reference_route_runs_no_eigh_and_one_table_per_gamma(monkeypatch):
+    # Every block size and the full C and F share one table of G, made by
+    # one forward FFT of Z's cell columns; no step solves an eigenproblem of
+    # Z.  majorana_occupations' eigvalsh of each block is the only eigensolve.
+    def refused(*args, **kwargs):
+        raise AssertionError("the reference route ran np.linalg.eigh")
+
+    ffts = []
+    fft = np.fft.fft
 
     def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        ffts.append(np.shape(a))
+        return fft(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np.fft, "fft", counted)
     n = 200
     g = real_space_gamma(ChainParams(n, 1.0, 0.8, 0.3))
     for length in (1, 2, 7, n // 2, n - 1):
         block_coupling(g, length)
     pair_correlations(g)
-    assert shapes == [(n // 2, n // 2)]
+    assert g.table is g.table
+    assert ffts == [(2, n // 2)]
 
 
 def test_reference_block_path_forms_no_n_by_n_array():
     # From the beta tables to the kept occupations, a block of L sites needs
-    # O(N) rows and L x L and N/2 x N/2 arrays only: the traced peak (numpy's
-    # array buffers; LAPACK's workspace is not traced) stays below one N x N
-    # float64 array, which gamma alone would fill.
-    n = 2000
+    # O(N) rows and tables and one L x L array: the traced peak (numpy's
+    # array buffers; LAPACK's workspace is not traced) stays below two L x L
+    # float64 arrays, a quarter of one N x N array, which gamma alone
+    # would fill.
+    n, length = 2000, 1000
     tracemalloc.start()
     try:
         g = real_space_gamma(ChainParams(n, 1.0, 0.8, 0.3))
-        schmidt_numbers(block_coupling(g, n // 2))
+        schmidt_numbers(block_coupling(g, length))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 8, peak / 2**20
+    assert peak < 2 * length * length * 8, peak / 2**20
 
 
 GAMMA_GRID = [(n, j_y, h) for n in (12, 40, 400)
@@ -386,13 +400,14 @@ GAMMA_GRID = [(n, j_y, h) for n in (12, 40, 400)
 
 @pytest.mark.parametrize("n,j_y,h", GAMMA_GRID)
 def test_rows_route_matches_checked_gamma_path(n, j_y, h):
-    # The Hankel entries gathered from gamma's two Toeplitz rows are the
-    # same floats as those read off the laid-out N x N gamma, so the one
-    # eigensolve gives the same eigenpairs, bit for bit.  On the laid-out
-    # gamma, the same-sublattice blocks are zero, so they drop out of Z,
-    # and the even-odd block of Z, odd sites reversed, is exactly symmetric.
+    # The dense oracle's Hankel entries, gathered from gamma's two Toeplitz
+    # rows, are the same floats as those read off the laid-out N x N gamma,
+    # so its one eigensolve gives the same eigenpairs, bit for bit.  On the
+    # laid-out gamma, the same-sublattice blocks are zero, so they drop out
+    # of Z, and the even-odd block of Z, odd sites reversed, is exactly
+    # symmetric.  The reference route's occupations match the oracle's.
     g = real_space_gamma(ChainParams(n, 1.0, j_y, h))
-    lam, v = g.eigenpairs
+    lam, v = reference_route.eigenpairs(g)
     gamma = g.gamma
     assert not gamma[0::2, 0::2].any() and not gamma[1::2, 1::2].any()
     hankel = gamma[0::2, -1::-2] - gamma[-1::-2, 0::2].T
@@ -400,6 +415,17 @@ def test_rows_route_matches_checked_gamma_path(n, j_y, h):
     lam_ref, v_ref = np.linalg.eigh(hankel)
     assert np.array_equal(lam, lam_ref)
     assert np.array_equal(v, v_ref)
+    _occupations_match_dense_oracle(g)
+
+
+def _occupations_match_dense_oracle(g):
+    # block_coupling's occupations, from G's table by 2 x 2 momentum
+    # inverses, against the dense oracle's, per mode.
+    n = g.n_sites
+    for length in sorted({1, 7, n // 4, n // 2, n - 1}):
+        dense = majorana_occupations(reference_route.block(g, length))
+        err = np.abs(block_coupling(g, length) - dense).max()
+        assert err <= 1e-13, (n, length, err)
 
 
 def test_gamma_laid_out_once_on_read(monkeypatch):
@@ -449,7 +475,9 @@ def _column_fft_table(p):
 @pytest.mark.parametrize("n", [8, 16, 200, 1000, 4000])
 def test_table_matches_pairing_algebra(n):
     # The closed-form symbol of G against the amplitude -> beta -> FFT path
-    # it replaces (measured 5.9e-16 at most).
+    # it replaces (measured 5.9e-16 at most), and against the reference
+    # route's table, G = 2 (1 + Z)^{-1} - 1 by 2 x 2 inverses of Z's symbol
+    # on the paper's gamma.
     for j_y in (0.8, 1.0, 1.3, 0.0, -1.0):
         for h in (-5.0, -0.7, 0.0, 0.3, 5.0, 20.0):
             p = ChainParams(n, 1.0, j_y, h)
@@ -457,6 +485,10 @@ def test_table_matches_pairing_algebra(n):
             assert table.shape == (2, 2, n // 2)
             assert np.array_equal(table[0, 0], table[1, 1])
             err = np.abs(table - _column_fft_table(p)).max()
+            assert err <= 1e-15, (j_y, h, err)
+            reference = real_space_gamma(p).table
+            assert reference.shape == table.shape
+            err = np.abs(reference - table).max()
             assert err <= 1e-15, (j_y, h, err)
 
 
