@@ -110,7 +110,7 @@ def _cmd_energy(p, args):
 
 
 def _cmd_degeneracy(p, args):
-    # The oracle's size check first: 2^(N/2 - 1) alone takes seconds at N = 10^9.
+    # The oracle's size check first: 2^(N/2 - 1) alone is a 62 MB int at N = 10^9.
     counts = oracle.full_spectrum_degeneracy(p)
     return (["n_sites", "predicted_even", "even_sector", "odd_sector", "total"],
             [(p.n_sites, ground_degeneracy(p), counts.even_sector, counts.odd_sector,

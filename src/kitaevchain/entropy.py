@@ -15,22 +15,19 @@ per sublattice per chain (pairing.signed_rows), then for each block size one
 call to one of two reductions, on blocks that pairing.majorana_rows lays out
 fresh from those rows; no block shares state with another.  A short block
 takes one symmetric eigensolve of its own L x L block A of G D.  A long one
-takes the few large singular values of its L x (N - L) cross block B to the
-rest of the ring, and forms no L x L problem.  A gapped chain entangles a
-fixed number of modes at each cut: once one bound per chain (_tail_bound)
-shows that, each block past 64 sites with L or N - L past 128 reads only the
-corners of B at its two cuts.  Other blocks, and every one at and near the
-critical point, take a flop and size rule, and read the whole B if low rank.
-On the window or the whole B it checks a certificate on the columns next to
-the cuts first, takes one power step only if that check fails, and grows the
-subspace until any mode it missed would fall under NU_FLOOR.  It takes the
-modes nearest nu = 1/2 from A projected on their Ritz vectors, laid out a
-panel at a time.  Both the momentum and the reference route hand each block's
-nu, one plain array, to schmidt_numbers, whose one rule is that floor.  It,
-block_entropy and entanglement_spectrum all refuse anything but one real
-number or a 1-d array of them, NaN, and any entry outside [0, 1].
-fit_log_slope fits a curve's entropy against log2 of the block length.
-"""
+takes the few large singular values of the window of its L x (N - L) cross
+block B to the rest of the ring, its first and last w rows against the w
+columns past each cut, and forms no L x L problem.  A gapped chain entangles a fixed number of
+modes at each cut: once one bound per chain (_tail_bound) shows that, each
+block past 64 sites with L or N - L past 128 reads its window at w = 64.
+Other blocks, and every one at and near the critical point, take a flop and
+size rule, and if low rank read the window at w = N, the whole B.  One
+certified subspace iteration (_cut_occupations) reduces either.  Both the
+momentum and the reference route hand each block's nu, one plain array, to
+schmidt_numbers, whose one rule is NU_FLOOR.  It, block_entropy and
+entanglement_spectrum all refuse anything but one real number or a 1-d
+array of them, NaN, and any entry outside [0, 1].  fit_log_slope fits a
+curve's entropy against log2 of the block length."""
 
 from __future__ import annotations
 
@@ -65,10 +62,11 @@ START_COLUMNS = 16
 PANEL_ROWS = 32
 
 # The low-rank route's cost per call beyond its products, in flops of the
-# dense route (~1e-10 s per flop, 2 cores, OpenBLAS 0.3.31): a ~0.3 ms
-# estimate for the QRs, panel loops and Gram eigensolve of a first round.
-# It keeps short blocks of short chains dense: the N = 200 crossover moves
-# from L = 90 to 136, though at L = 100 the low-rank route is the faster.
+# dense route (~1e-10 s per flop, 2 cores, OpenBLAS 0.3.31).  It keeps short
+# blocks of short chains dense: the N = 200 crossover moves from L = 90 to
+# 136.  Measured per call at N = 200, L = 100, dense against the whole B:
+# 0.39 / 0.49 ms at J_x = J_y = 1, h = 0; 0.41 / 0.35 at h = 0.05; 0.34 /
+# 0.35 at h = 0.2 (best of 3-5, 2 cores of a shared machine).
 LOW_RANK_OVERHEAD = 2.5e6
 
 
@@ -176,11 +174,14 @@ def _low_rank_pays(n_sites: int, block_len: int) -> bool:
     block takes, 6 L (N - L) k at k = START_COLUMNS, plus LOW_RANK_OVERHEAD.
     B must also hold at most three times the entries of the dense block:
     that bound, not the price, keeps L = 500 of a critical N = 100 000
-    chain dense, and from N = 988 on the rule is just 4 L >= N.  A critical
-    block pays more, restarting at 2 k and 4 k: the dense route stays faster
-    up to L = N/4 at N = 4000 and L = N/2 at N = 1000.  The rule serves the
-    chains whose _tail_bound refuses the window; on a gapped one it decides
-    only blocks with L <= 64 or N - L <= 128, 16 of them low-rank (N <= 152).
+    chain dense, and from N = 988 on the rule is just 4 L >= N.  The rule
+    serves the chains whose _tail_bound refuses the window, and no rule in N
+    and L alone suits all of them.  Per call, dense / whole B, in ms (as for
+    LOW_RANK_OVERHEAD): N = 600, L = 150 takes 0.83 / 2.45 at J_x = J_y = 1,
+    h = 0 and 0.80 / 1.05 at h = 0.05; N = 1000, L = 500 takes 11.3 / 17.3
+    and 12.0 / 4.9; N = 4000, L = 2000 takes 490 / 140 and 472 / 59.  On a
+    gapped chain the rule decides only blocks with L <= 64 or N - L <= 128,
+    16 of them low-rank (N <= 152).
     """
     rest = n_sites - block_len
     dense = 4 * block_len**3 / 3
@@ -189,11 +190,12 @@ def _low_rank_pays(n_sites: int, block_len: int) -> bool:
 
 
 def _layout(signed: np.ndarray, sites: list, columns: list) -> np.ndarray:
-    """(G D)[sites, columns] for lists of (start, stop) ranges, one majorana_rows per pair."""
-    return np.concatenate([
-        np.concatenate([majorana_rows(signed, stop, c0, c1, first=start) for c0, c1 in columns],
-                       axis=1)
-        for start, stop in sites])
+    """(G D)[sites, columns] for lists of (start, stop) ranges; one range each way is not copied."""
+    pieces = [[majorana_rows(signed, stop, c0, c1, first=start) for c0, c1 in columns]
+              for start, stop in sites]
+    if len(sites) == len(columns) == 1:
+        return pieces[0][0]
+    return np.concatenate([np.concatenate(row, axis=1) for row in pieces])
 
 
 def _cut_ranges(start: int, stop: int, width: int) -> list:
@@ -203,9 +205,15 @@ def _cut_ranges(start: int, stop: int, width: int) -> list:
     return [(start, start + width), (stop - width, stop)]
 
 
-def _cross_occupations(cross: np.ndarray, tail: float, signed: np.ndarray,
-                       sites: list) -> tuple[np.ndarray, float]:
-    """Occupations of a block from rows of its cross block B, descending, and the missed mass tau.
+def _cut_occupations(signed: np.ndarray, length: int, width: int,
+                     tail: float) -> tuple[np.ndarray, float]:
+    """Occupations of a block from the window of its cross block B, descending, and tau.
+
+    The window is B[R, C]: R the block's first and last width sites, C the
+    width columns past the cut at L and past the ring's closing one (all of
+    either when 2 width covers it), so its first and last columns are the
+    ones next to the two cuts.  At width N it is the whole B, never copied.
+    tail bounds B's mass outside the window: _tail_bound, or 0 at width N.
 
     G D is orthogonal because the state is pure, so its rows through the
     block give A A^T + B B^T = 1 for the block A of majorana_occupations:
@@ -214,53 +222,51 @@ def _cross_occupations(cross: np.ndarray, tail: float, signed: np.ndarray,
     cancellation.  Only the few modes near the two cuts are entangled, so
     randomized subspace iteration (Halko, Martinsson and Tropp, SIAM Rev. 53,
     217 (2011)) finds them with no L x L eigenproblem.  It starts from the k
-    columns of cross next to the two cuts, half each, as an orthonormal Q,
-    and reads sigma^2 off the k x k Gram of P = cross^T Q.  By interlacing,
-    the missed mass tau = mass - sum sigma^2 bounds every mode the subspace
-    missed; once tau <= 4 NU_FLOOR a missed mode has nu <= NU_FLOOR and
-    would count as zero anyway.  tau needs only the Gram's trace,
-    sum sigma^2 = |P|_F^2, so that one number decides every step, and the
-    Gram is eigensolved once, for the subspace that passes.  When a chain
-    entangles clearly fewer modes than k, the start columns already span
-    them, so one product with cross is all it takes.  Only if the
-    certificate fails does it take one power step from that same P (QR of
-    cross P, then cross^T), and only if that fails too does k double.
+    window columns next to the two cuts, half each, as an orthonormal Q, and
+    reads sigma^2 off the k x k Gram of P = window^T Q.  By interlacing, the
+    missed mass tau = |window|_F^2 + tail - sum sigma^2 bounds every mode
+    the subspace missed; once tau <= 4 NU_FLOOR a missed mode has
+    nu <= NU_FLOOR and would count as zero anyway.  tau needs only the
+    Gram's trace, sum sigma^2 = |P|_F^2, so that one number decides every
+    step, and the Gram is eigensolved once, for the subspace that passes.
+    When a chain entangles clearly fewer modes than k, the start columns
+    already span them, so one product with the window is all it takes.  Only
+    if the certificate fails does it take one power step from that same P
+    (QR of window P, then window^T), and only if that fails too does k double.
 
-    cross is B[R, C]: R the block's sites in the (start, stop) ranges of
-    sites, C any of B's columns, in order, so that its first and last
-    columns are the ones next to the two cuts.  tail bounds the mass of B
-    outside cross (0 for the whole B), and the mass is |cross|_F^2 + tail,
-    at least |B|_F^2.  Q lives on R, and dropping rows or columns of B only
-    removes terms from |B^T Q|_F^2, so tau is still at least the mass
-    missed in the whole B, and each Ritz value still lies below its
-    sigma^2 with sum (sigma^2 - Ritz value) <= tau: the certificate holds
-    on any window.  Near nu = 1/2, where sqrt(1 - sigma^2) = |lambda| keeps
-    half its digits, nu comes from the eigenvalues of U^T A U over those
-    modes' Ritz vectors U (one quotient per mode would mix an even L's
-    +-lambda pairs); U lives on R too, so only A[R, R] is laid out from
-    signed, a column panel at a time.  The start columns are fixed, so
-    equal input gives bitwise equal output.  One nu per site of the block;
-    past the k found they are zeros.
+    Q lives on R, and dropping rows or columns of B only removes terms from
+    |B^T Q|_F^2, so tau is still at least the mass missed in the whole B,
+    and each Ritz value still lies below its sigma^2 with
+    sum (sigma^2 - Ritz value) <= tau: the certificate holds on any window.
+    Near nu = 1/2, where sqrt(1 - sigma^2) = |lambda| keeps half its
+    digits, nu comes from the eigenvalues of U^T A U over those modes' Ritz
+    vectors U (one quotient per mode would mix an even L's +-lambda pairs);
+    U lives on R too, so only A[R, R] is laid out from signed, a column
+    panel at a time.  The start columns are fixed, so equal input gives
+    bitwise equal output.  One nu per site of the block; past the k found
+    they are zeros.
     """
-    rows, cols = cross.shape
+    sites = _cut_ranges(0, length, width)
+    window = _layout(signed, sites, _cut_ranges(length, signed.shape[1] // 2 + 1, width))
+    rows, cols = window.shape
     panels = [slice(i, i + PANEL_ROWS) for i in range(0, rows, PANEL_ROWS)]
 
     def times(right):
-        return np.concatenate([cross[panel] @ right for panel in panels])
+        return np.concatenate([window[panel] @ right for panel in panels])
 
     def adjoint_times(left):
         total = np.zeros((cols, left.shape[1]))
         for panel in panels:
-            total += cross[panel].T @ left[panel]
+            total += window[panel].T @ left[panel]
         return total
 
     # Sums of squares by numpy, not a dot (OpenBLAS runs one on two threads),
     # a panel at a time so that no copy of B is made.
-    mass = sum(float(np.square(cross[panel]).sum()) for panel in panels) + tail
+    mass = sum(float(np.square(window[panel]).sum()) for panel in panels) + tail
     full = min(rows, cols)
     k = min(START_COLUMNS, full)
     while True:
-        near_cuts = np.concatenate([cross[:, : k - k // 2], cross[:, cols - k // 2 :]], axis=1)
+        near_cuts = np.concatenate([window[:, : k - k // 2], window[:, cols - k // 2 :]], axis=1)
         basis = np.linalg.qr(near_cuts)[0]
         projected = adjoint_times(basis)
         tau = mass - float(np.square(projected).sum())
@@ -274,7 +280,7 @@ def _cross_occupations(cross: np.ndarray, tail: float, signed: np.ndarray,
     gram = projected.T @ projected
     sigma2 = np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, 1.0)
     root = np.sqrt(1.0 - sigma2)
-    nu = np.zeros(sites[-1][1])
+    nu = np.zeros(length)
     nu[:k] = sigma2 / (2.0 * (1.0 + root))
     # Rounding sigma^2 by eps moves nu by eps / (4 root): past NU_FLOOR, refine.
     near = int(np.count_nonzero(root < np.finfo(float).eps / (4.0 * NU_FLOOR)))
@@ -288,12 +294,12 @@ def _cross_occupations(cross: np.ndarray, tail: float, signed: np.ndarray,
     return nu, tau
 
 
-def _tail_bound(signed: np.ndarray) -> float:
+def _tail_bound(signed: np.ndarray, width: int) -> float:
     """A bound T, for every L, on the mass of B outside its window at the cuts.
 
     An entry of B outside the window (_cut_occupations) has its row among
     the block's middle sites or its column among the rest's, so its two
-    sites lie more than w = 4 START_COLUMNS apart on the ring.  Entry i of
+    sites lie more than w = width apart on the ring.  Entry i of
     signed row s is G D at site offset delta = i - (N - 1) + s, ring
     distance d = min(|delta|, N - |delta|), and at most d + 1 block x rest
     pairs at that offset cross a cut: T = sum over d > w of (d + 1) entry^2.
@@ -303,67 +309,51 @@ def _tail_bound(signed: np.ndarray) -> float:
     last = signed.shape[1] // 2  # N - 1
     offset = np.abs(np.arange(-last, last + 1))
     distance = np.minimum(offset, last + 1 - offset)
-    weight = np.where(distance > 4 * START_COLUMNS, distance + 1.0, 0.0)
+    weight = np.where(distance > width, distance + 1.0, 0.0)
     return float(np.square(signed[0]) @ weight[:-1] + np.square(signed[1]) @ weight[1:])
 
 
-def _cut_occupations(signed: np.ndarray, length: int, tail: float) -> tuple[np.ndarray, float]:
-    """(nu, tau) of one block on the low-rank route.
+def _floored_spectra(p: ChainParams, block_lens, reduce) -> list:
+    """(L, reduce(schmidt_numbers of its nu)) per requested L, in order; repeats share.
 
-    Where tail (_tail_bound) is at most NU_FLOOR, it reads only the window
-    B[R, C] at the two cuts: R the block's first and last w = 4 START_COLUMNS
-    sites, C the w columns past the cut at L and past the ring's closing one
-    (all of either when 2 w covers it).  Otherwise, tail = inf included, it
-    lays out its whole B with one majorana_rows call, never copied.
+    Each block is dense, the window of B at w = 4 START_COLUMNS with the
+    chain's one _tail_bound, or the whole B at width N with tail 0.  The
+    window serves every block past the size test (L > w, and L or N - L past
+    2 w, so it is a proper part of B) once the bound, computed only if some
+    block passes, admits it; every other block takes _low_rank_pays's route.
     """
-    n_sites = signed.shape[1] // 2 + 1
-    if tail > NU_FLOOR:
-        cross = majorana_rows(signed, length, length, n_sites)
-        return _cross_occupations(cross, 0.0, signed, [(0, length)])
-    width = 4 * START_COLUMNS
-    sites = _cut_ranges(0, length, width)
-    cross = _layout(signed, sites, _cut_ranges(length, n_sites, width))
-    return _cross_occupations(cross, tail, signed, sites)
-
-
-def _floored_spectra(p: ChainParams, lens: list):
-    """(L, schmidt_numbers of its nu) for each distinct L of lens, in order.
-
-    Blocks share only signed_rows and, once some L passes the size test
-    (L > w = 4 START_COLUMNS, and L or N - L past 2 w = 128, so the window
-    is a proper part of B), the chain's one _tail_bound.  Where that admits
-    the window, every block past the test reads it; every other block takes
-    the route _low_rank_pays picks.
-    """
+    try:
+        requested = iter(block_lens)
+    except TypeError:
+        raise ParameterError(f"block_lens must be lengths to iterate, got {block_lens!r}") from None
+    lens = [_check_block_len(p.n_sites, length) for length in requested]
     if not lens:
-        return
+        return []
     rows = signed_rows(majorana_table(p))
     width = 4 * START_COLUMNS
     windowed = {length: length > width and max(length, p.n_sites - length) > 2 * width
                 for length in lens}
-    tail = _tail_bound(rows) if any(windowed.values()) else np.inf
-    for length in windowed:
-        if windowed[length] and tail <= NU_FLOOR:
-            nu = _cut_occupations(rows, length, tail)[0]
+    tail = _tail_bound(rows, width) if any(windowed.values()) else None
+    reduced = {}
+    for length, window in windowed.items():
+        if window and tail <= NU_FLOOR:
+            nu = _cut_occupations(rows, length, width, tail)[0]
         elif _low_rank_pays(p.n_sites, length):
-            nu = _cut_occupations(rows, length, np.inf)[0]
+            nu = _cut_occupations(rows, length, p.n_sites, 0.0)[0]
         else:
             nu = majorana_occupations(majorana_rows(rows, length, 0, length))
-        yield length, schmidt_numbers(nu)
+        reduced[length] = reduce(schmidt_numbers(nu))
+    return [(length, reduced[length]) for length in lens]
 
 
 def block_spectra(p: ChainParams, block_lens) -> list[tuple[int, np.ndarray]]:
     """Entangled-mode occupations of the first L sites per requested L, in order; repeats share."""
-    lens = [_check_block_len(p.n_sites, length) for length in block_lens]
-    nus = dict(_floored_spectra(p, lens))
-    return [(length, nus[length]) for length in lens]
+    return _floored_spectra(p, block_lens, lambda nu: nu)
 
 
 def block_entropy_curve(p: ChainParams, block_lens) -> list[tuple[int, float]]:
     """Entropy in bits per requested block size, in order, one block's arrays alive at a time."""
-    lens = [_check_block_len(p.n_sites, length) for length in block_lens]
-    bits = {length: block_entropy(nu) for length, nu in _floored_spectra(p, lens)}
-    return [(length, bits[length]) for length in lens]
+    return _floored_spectra(p, block_lens, block_entropy)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, SizeError
 
 
 def _index(name: str, value) -> int:
@@ -123,10 +123,13 @@ def ground_degeneracy(p: ChainParams) -> int:
 
     A field lifts it completely: 1 at h != 0.  At h = 0 the even sector
     holds 2^(N/2 - 1) ground states unless both couplings vanish; then
-    H = 0 and the whole even sector, 2^(N - 1) states, is ground.
+    H = 0 and the whole even sector, 2^(N - 1) states, is ground.  A count
+    too big for memory as an int raises SizeError at once.
     """
     if p.h_field != 0.0:
         return 1
-    if p.j_x == p.j_y == 0.0:
-        return 2 ** (p.n_sites - 1)
-    return 2 ** (p.n_sites // 2 - 1)
+    bits = p.n_sites - 1 if p.j_x == p.j_y == 0.0 else p.n_sites // 2 - 1
+    try:
+        return 1 << bits
+    except MemoryError:
+        raise SizeError(f"ground degeneracy 2^{bits} does not fit in memory") from None

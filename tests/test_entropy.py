@@ -43,6 +43,9 @@ GRID_JX = (1.0, 0.0, -1.0)
 GRID_JY = (0.8, 1.0, 1.3)
 GRID_H = (-5.0, -0.7, 0.0, 0.3, 5.0, 20.0)
 
+# The window width block_spectra reads on a gapped chain.
+W = 4 * entropy.START_COLUMNS
+
 
 def spectrum_of(occupations) -> np.ndarray:
     nu = np.asarray(occupations, dtype=float)
@@ -252,6 +255,17 @@ def test_occupation_spectrum_odds_and_frozen_modes():
     assert np.array_equal(nu, [0.5, NU_FLOOR, 0.99 * NU_FLOOR])
 
 
+def _window_or_whole(rows: np.ndarray, length: int, tail: float) -> tuple:
+    """(nu, tau) of _cut_occupations as block_spectra runs it on a block past the size test.
+
+    The window at width W where the chain's tail bound admits it, the whole
+    B (width N, tail 0) otherwise.
+    """
+    if tail <= NU_FLOOR:
+        return entropy._cut_occupations(rows, length, W, tail)
+    return entropy._cut_occupations(rows, length, rows.shape[1] // 2 + 1, 0.0)
+
+
 def _frozen_past_the_cut(nu: np.ndarray, n_sites: int) -> None:
     # A pure state entangles at most min(L, N - L) modes of a block of L
     # sites; past half the ring the 2L - N smallest nu are frozen modes.
@@ -274,12 +288,12 @@ def test_the_floor_leaves_at_most_min_l_n_minus_l_modes():
     for n, j_x, j_y, h in points:
         p = ChainParams(n, j_x, j_y, h)
         rows, g = signed_rows(majorana_table(p)), real_space_gamma(p)
-        tail = entropy._tail_bound(rows)
+        tail = entropy._tail_bound(rows, W)
         block = majorana_rows(rows, n - 1, 0, n - 1)
         lens = range(n // 2 + 1, n)
         for length in lens:
             _frozen_past_the_cut(majorana_occupations(block[:length, :length]), n)
-            _frozen_past_the_cut(entropy._cut_occupations(rows, length, tail)[0], n)
+            _frozen_past_the_cut(_window_or_whole(rows, length, tail)[0], n)
             _frozen_past_the_cut(block_coupling(g, length), n)
     # At N = 1000 block_spectra puts these lengths on the low-rank route;
     # the dense route, forced, leaves the most frozen modes at L = 999.
@@ -318,9 +332,11 @@ def test_block_entropy_matches_high_precision_sum(j_y, h):
 def test_block_spectra_validate_every_length():
     p = ChainParams(8, 1.0, 1.0, 0.5)
     assert block_spectra(p, []) == []
-    for lens in ([0, 4], [4, 8], [-1]):
+    for lens in ([0, 4], [4, 8], [-1], 3, None):
         with pytest.raises(ParameterError):
             block_spectra(p, lens)
+        with pytest.raises(ParameterError):
+            block_entropy_curve(p, lens)
     # Fractional lengths are not truncated: [2.5, 3.9] is not [2, 3].
     for lens in ([2.5, 3.9], [2.0], [4, 3.0]):
         with pytest.raises(ParameterError, match="block_len must be an integer"):
@@ -449,7 +465,7 @@ def test_jin_korepin_constant_matches_its_integral():
 def _both_routes(n_sites: int, j_x: float, j_y: float, h: float, lens: tuple) -> list:
     """(dense bits, low-rank bits, tau, dense nu, low-rank nu, whole) per length, each route forced.
 
-    The low-rank side runs _cut_occupations at the chain's tail bound: the
+    The low-rank side runs _window_or_whole at the chain's tail bound: the
     window at the cuts where that admits it, the whole B otherwise.  That is
     what block_spectra runs on a block past 2 w = 128 sites, and on one past
     w = 64 whose N - L passes 2 w where the bound admits the window.  whole
@@ -458,13 +474,13 @@ def _both_routes(n_sites: int, j_x: float, j_y: float, h: float, lens: tuple) ->
     schmidt_numbers.
     """
     rows = signed_rows(majorana_table(ChainParams(n_sites, j_x, j_y, h)))
-    tail = entropy._tail_bound(rows)
+    tail = entropy._tail_bound(rows, W)
     block = majorana_rows(rows, max(lens), 0, max(lens))
     out = []
     with mock.patch.object(entropy, "majorana_rows", wraps=majorana_rows) as layout:
         for length in lens:
-            assert length > 4 * entropy.START_COLUMNS, length
-            low_rank, tau = entropy._cut_occupations(rows, length, tail)
+            assert length > W, length
+            low_rank, tau = _window_or_whole(rows, length, tail)
             whole = [call.args[2:] == (length, n_sites) for call in layout.call_args_list]
             assert whole.count(True) <= 1, whole
             layout.reset_mock()
@@ -508,9 +524,7 @@ def test_routes_agree_over_the_error_budget_grid():
             worst = max(worst, abs(dense - low_rank))
             worst_nu = max(worst_nu, np.abs(dense_nu - low_rank_nu).max())
             if not whole:
-                cross = majorana_rows(rows, length, length, n)
-                nu = entropy._cross_occupations(cross, 0.0, rows, [(0, length)])[0]
-                nu = schmidt_numbers(nu)
+                nu = schmidt_numbers(entropy._cut_occupations(rows, length, n, 0.0)[0])
                 worst_window = max(worst_window, np.abs(nu - low_rank_nu).max(),
                                    abs(block_entropy(nu) - low_rank))
     assert worst <= 1e-12, worst
@@ -597,37 +611,41 @@ def test_tail_bound_covers_the_mass_outside_every_window():
     points = [(j_x, j_y, h) for j_x in GRID_JX for j_y in GRID_JY for h in GRID_H]
     rows = np.stack([signed_rows(majorana_table(ChainParams(1000, *point)))
                      for point in points])
-    tails = np.array([entropy._tail_bound(r) for r in rows])
+    tails = np.array([entropy._tail_bound(r, w) for r in rows])
     assert list(tails > NU_FLOOR) == [h == 0.0 and j_x != 0.0 for j_x, _, h in points]
     outside = _outside_window_mass(rows, range(w + 1, 1000))
     assert np.all(outside <= tails), (outside / tails).max()
     rows = signed_rows(majorana_table(ChainParams(4000, 1.0, 1.3, 0.3)))
-    tail = entropy._tail_bound(rows)
+    tail = entropy._tail_bound(rows, w)
     assert tail <= NU_FLOOR, tail
     assert np.all(_outside_window_mass(rows[None], range(w + 1, 4000)) <= tail)
     # It admits the corners of the bench curve's draw box, h in [0.3, 0.7]
     # and J_y / J_x in [0.8, 1.2] (measured: 2.9e-16 at most).
     for h in (0.3, 0.7):
         for ratio in (0.8, 1.2):
-            tail = entropy._tail_bound(signed_rows(majorana_table(ChainParams(1000, 1.0, ratio, h))))
+            rows = signed_rows(majorana_table(ChainParams(1000, 1.0, ratio, h)))
+            tail = entropy._tail_bound(rows, w)
             assert tail <= NU_FLOOR, (h, ratio, tail)
 
 
 def test_a_refused_window_reads_the_whole_cross_block():
     # At and near the critical point the chain's tail bound passes
-    # NU_FLOOR, so every low-rank block lays out its whole B, and its nu and
-    # tau are those of _cross_occupations on that B with no tail, bit for
-    # bit.
+    # NU_FLOOR, so every low-rank block reads its whole B: the window at
+    # width N with no tail.  A window of width ceil(max(L, N - L) / 2)
+    # already takes every row and column of B, so it gives the same nu and
+    # tau, bit for bit, and so does block_spectra.
     for n, j_y, lens in ((1000, 1.0, (250, 499, 500)), (1000, 0.8, (500,)), (2000, 1.0, (999,))):
-        rows = signed_rows(majorana_table(ChainParams(n, 1.0, j_y, 0.0)))
-        tail = entropy._tail_bound(rows)
+        p = ChainParams(n, 1.0, j_y, 0.0)
+        rows = signed_rows(majorana_table(p))
+        tail = entropy._tail_bound(rows, W)
         assert tail > NU_FLOOR, (n, j_y, tail)
-        for length in lens:
-            nu, tau = entropy._cut_occupations(rows, length, tail)
-            cross = majorana_rows(rows, length, length, n)
-            whole = entropy._cross_occupations(cross, 0.0, rows, [(0, length)])
-            assert np.array_equal(nu, whole[0]), (n, j_y, length)
-            assert tau == whole[1], (n, j_y, length)
+        for length, floored in block_spectra(p, lens):
+            nu, tau = entropy._cut_occupations(rows, length, n, 0.0)
+            half = -(-max(length, n - length) // 2)
+            window = entropy._cut_occupations(rows, length, half, 0.0)
+            assert np.array_equal(nu, window[0]), (n, j_y, length)
+            assert tau == window[1], (n, j_y, length)
+            assert np.array_equal(schmidt_numbers(nu), floored), (n, j_y, length)
             assert len(nu) == length
 
 
@@ -808,7 +826,7 @@ def test_gapped_blocks_certify_before_the_power_step(monkeypatch):
         nonlocal qr_calls
         qr_calls = 0
         rows = signed_rows(table)
-        _, tau = entropy._cut_occupations(rows, length, entropy._tail_bound(rows))
+        _, tau = _window_or_whole(rows, length, entropy._tail_bound(rows, W))
         assert tau <= 4.0 * NU_FLOOR, tau
         return qr_calls
 

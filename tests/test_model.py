@@ -1,3 +1,4 @@
+import time
 import warnings
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from kitaevchain.entropy import (
     block_spectra,
     entanglement_spectrum,
 )
-from kitaevchain.exceptions import ParameterError
+from kitaevchain.exceptions import ParameterError, SizeError
 from kitaevchain.model import (
     ChainParams,
     dispersion,
@@ -205,6 +206,14 @@ def test_ground_degeneracy_rejects_bad_sizes():
     with pytest.raises(ParameterError, match="n_sites must be an integer"):
         ground_degeneracy(ChainParams(12.0))
     assert ground_degeneracy(ChainParams(np.int64(12))) == 32
+    # A count too big for memory raises at once, in both branches, rather
+    # than growing an int until the process is killed.
+    for n in (2**52, 2**53):
+        for p in (ChainParams(n), ChainParams(n, 0.0, 0.0)):
+            t0 = time.monotonic()
+            with pytest.raises(SizeError):
+                ground_degeneracy(p)
+            assert time.monotonic() - t0 < 1.0, p
 
 
 def test_params_reject_chains_past_exact_momenta():

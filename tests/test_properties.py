@@ -89,4 +89,4 @@ def test_tail_bound_covers_the_exact_mass_outside_the_window(chain):
     cross = majorana_rows(rows, length, length, p.n_sites)
     cross[:w, :w] = cross[:w, -w:] = cross[-w:, :w] = cross[-w:, -w:] = 0.0
     outside = float(np.square(cross).sum())
-    assert outside <= entropy._tail_bound(rows), (outside, entropy._tail_bound(rows))
+    assert outside <= entropy._tail_bound(rows, w), (outside, entropy._tail_bound(rows, w))
