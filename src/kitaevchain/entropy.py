@@ -313,6 +313,13 @@ def _tail_bound(signed: np.ndarray, width: int) -> float:
     return float(np.square(signed[0]) @ weight[:-1] + np.square(signed[1]) @ weight[1:])
 
 
+def _dense_or_whole_cross(signed: np.ndarray, n_sites: int, length: int) -> np.ndarray:
+    """A block's nu, descending: the whole B at width N where _low_rank_pays, else dense."""
+    if _low_rank_pays(n_sites, length):
+        return _cut_occupations(signed, length, n_sites, 0.0)[0]
+    return majorana_occupations(majorana_rows(signed, length, 0, length))
+
+
 def _floored_spectra(p: ChainParams, block_lens, reduce) -> list:
     """(L, reduce(schmidt_numbers of its nu)) per requested L, in order; repeats share.
 
@@ -338,10 +345,8 @@ def _floored_spectra(p: ChainParams, block_lens, reduce) -> list:
     for length, window in windowed.items():
         if window and tail <= NU_FLOOR:
             nu = _cut_occupations(rows, length, width, tail)[0]
-        elif _low_rank_pays(p.n_sites, length):
-            nu = _cut_occupations(rows, length, p.n_sites, 0.0)[0]
         else:
-            nu = majorana_occupations(majorana_rows(rows, length, 0, length))
+            nu = _dense_or_whole_cross(rows, p.n_sites, length)
         reduced[length] = reduce(schmidt_numbers(nu))
     return [(length, reduced[length]) for length in lens]
 

@@ -6,9 +6,9 @@ ground-state correlations.  The pairing couples odd sites only to even
 sites, so with the sublattice signs D = diag((-1)^j) (0-based sites j)
 D G D = G^T: every leading L x L block of G D is symmetric, and its
 eigenvalues are +-(1 - 2 nu) for the natural-mode occupations nu of a block
-of L sites.  Both routes can lay out that signed block and hand it to
-majorana_occupations, one symmetric eigensolve per block, whose plain array
-of nu goes on to bits with no rule but entropy.NU_FLOOR:
+of L sites.  Both routes lay out signed blocks from one table of G and reduce
+them to a plain array of nu, which goes on to bits with no rule but
+entropy.NU_FLOOR:
 
 - the momentum route (majorana_table, signed_rows, majorana_rows) reads
   G's unitary 2 x 2 symbol over the two-site cell off the dispersion; one
@@ -34,11 +34,12 @@ of nu goes on to bits with no rule but entropy.NU_FLOOR:
   per cell separation, cached on the PairingMatrix.  The block of G D is
   laid out from it by signed_rows and majorana_rows, and the full C and F
   are the split of the N x N G D.  The N x N gamma is laid out only if it
-  is read.  It costs O(N log N) plus one L x L eigensolve per block and is
-  the independent reference: it shares only the dispersion, the rescaling
-  and the momentum grid of model, and the layout of G D from a table,
-  with the momentum route.  The dense eigensolve of Z's Hankel block,
-  which assumes no translation structure, is the tests' oracle for both.
+  is read.  It costs O(N log N) plus, per block, block_spectra's dense or
+  whole-B reduction, never its window at the cuts.  It is the independent
+  reference: it shares only the dispersion, the rescaling and the momentum
+  grid of model, and the layout and reduction of G D from a table, with
+  the momentum route.  The dense eigensolve of Z's Hankel block, which
+  assumes no translation structure, is the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -337,9 +338,13 @@ def majorana_rows(
 def block_coupling(g: PairingMatrix, block_len: int) -> np.ndarray:
     """The block's occupations after block_len sites, one plain descending array.
 
-    The reference route: the block of G D is laid out from the table cached
+    The reference route: G D is read by signed_rows from the table cached
     on g, G = 2 (1 + Z)^{-1} - 1 inverted one cell momentum at a time (see
-    PairingMatrix.table), by signed_rows and majorana_rows, and goes through
-    majorana_occupations.  No N x N array is formed.
+    PairingMatrix.table).  As block_spectra on a chain whose tail bound
+    refuses the window, it takes the whole cross block B (width N, tail 0)
+    where _low_rank_pays, else majorana_occupations; never the window, so
+    it needs no tail bound.  Not floored; no N x N array is formed.
     """
-    return majorana_occupations(majorana_rows(signed_rows(g.table), block_len, 0, block_len))
+    from .entropy import _dense_or_whole_cross  # entropy imports pairing
+    block_len = _check_block_len(g.n_sites, block_len)
+    return _dense_or_whole_cross(signed_rows(g.table), g.n_sites, block_len)

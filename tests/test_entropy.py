@@ -277,12 +277,14 @@ def _frozen_past_the_cut(nu: np.ndarray, n_sites: int) -> None:
 def test_the_floor_leaves_at_most_min_l_n_minus_l_modes():
     # The floor alone zeroes the frozen modes of a block past half the ring,
     # on all three routes, so schmidt_numbers needs no min(L, N - L) rule.
-    # The dense and reference routes leave them at rounding noise (7.4e-15
-    # at most, measured over every L > N/2 at N = 200 and the whole grid);
-    # the low-rank route finds at most k <= min(L, N - L) nonzero nu by
-    # construction.  Each point at N = 200 costs two eigensolves per length,
-    # so it takes h = 20, where the dense route came out noisiest at
-    # J_x = 1, and J_y = 0.8, h = -0.7, where the reference route did.
+    # The dense route leaves them at rounding noise (7.4e-15 at most,
+    # measured over every L > N/2 at N = 200 and the whole grid), the
+    # reference route's dense blocks too (8.9e-16); the low-rank route,
+    # which the reference route takes from L = 136 at N = 200, finds at
+    # most k <= min(L, N - L) nonzero nu by construction.  Each point at
+    # N = 200 costs two eigensolves per length, so it takes h = 20, where
+    # the dense route came out noisiest at J_x = 1, and J_y = 0.8,
+    # h = -0.7, where the reference route did.
     points = [(12, j_x, j_y, h) for j_x in GRID_JX for j_y in GRID_JY for h in GRID_H]
     points += [(200, 1.0, j_y, 20.0) for j_y in GRID_JY] + [(200, 1.0, 0.8, -0.7)]
     for n, j_x, j_y, h in points:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import reference_route
 
-from kitaevchain import cli, oracle, pairing
+from kitaevchain import cli, entropy, oracle, pairing
 from kitaevchain.entropy import (
     block_entropy,
     block_entropy_curve,
@@ -157,7 +157,7 @@ def test_coupling_shapes_and_finiteness():
         assert np.count_nonzero(schmidt_numbers(nu)) <= min(length, 8 - length)
 
 
-def test_coupling_block_length_validated():
+def test_coupling_block_length_validated(monkeypatch):
     g = real_space_gamma(ChainParams(8, 1.0, 1.0, 0.5))
     for bad in (0, 8, 9, -1):
         with pytest.raises(ParameterError):
@@ -166,6 +166,16 @@ def test_coupling_block_length_validated():
         with pytest.raises(ParameterError, match="block_len must be an integer"):
             block_coupling(g, bad)
     assert np.array_equal(block_coupling(g, np.int64(3)), block_coupling(g, 3))
+    # At N = 1000 a valid length is priced for its route; a bad one is
+    # refused before the price runs.
+    def unpriced(*args):
+        raise AssertionError(f"priced a route for {args}")
+
+    monkeypatch.setattr(entropy, "_low_rank_pays", unpriced)
+    g = real_space_gamma(ChainParams(1000, 1.0, 0.8, 0.3))
+    for bad in (0, 1000, 2.5, True, np.float64(500.0)):
+        with pytest.raises(ParameterError):
+            block_coupling(g, bad)
 
 
 def test_occupations_bounded_and_sorted():
@@ -355,7 +365,8 @@ def test_correlations_match_inverse_of_one_plus_z(j_y, h):
 def test_reference_route_runs_no_eigh_and_one_table_per_gamma(monkeypatch):
     # Every block size and the full C and F share one table of G, made by
     # one forward FFT of Z's cell columns; no step solves an eigenproblem of
-    # Z.  majorana_occupations' eigvalsh of each block is the only eigensolve.
+    # Z.  The blocks' own reductions, eigvalsh of the block or of the whole
+    # B's Gram, are the only eigensolves.
     def refused(*args, **kwargs):
         raise AssertionError("the reference route ran np.linalg.eigh")
 
@@ -379,10 +390,10 @@ def test_reference_route_runs_no_eigh_and_one_table_per_gamma(monkeypatch):
 
 def test_reference_block_path_forms_no_n_by_n_array():
     # From the beta tables to the kept occupations, a block of L sites needs
-    # O(N) rows and tables and one L x L array: the traced peak (numpy's
-    # array buffers; LAPACK's workspace is not traced) stays below two L x L
-    # float64 arrays, a quarter of one N x N array, which gamma alone
-    # would fill.
+    # O(N) rows and tables and one L x (N - L) cross block, L x L here: the
+    # traced peak (numpy's array buffers; LAPACK's workspace is not traced)
+    # stays below 1.25 L x L float64 arrays, 1.10 measured, under a third of
+    # one N x N array, which gamma alone would fill.
     n, length = 2000, 1000
     tracemalloc.start()
     try:
@@ -391,7 +402,38 @@ def test_reference_block_path_forms_no_n_by_n_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * length * length * 8, peak / 2**20
+    assert peak < 1.25 * length * length * 8, peak / 2**20
+
+
+@pytest.mark.parametrize("j_x,j_y,h", [(1.0, 0.8, 0.3), (1.0, 1.0, 0.0)])
+def test_long_reference_blocks_take_the_whole_cross_block(monkeypatch, j_x, j_y, h):
+    # Where _low_rank_pays, block_coupling reduces its block as block_spectra
+    # does one of a chain whose tail bound refuses the window: the whole B,
+    # width N and tail 0, with no L x L eigensolve.  It never reads the
+    # window, so on a gapped chain block_spectra's window checks against it.
+    n, length, short = 2000, 1000, 7
+    p = ChainParams(n, j_x, j_y, h)
+    g = real_space_gamma(p)
+    rows = signed_rows(g.table)
+    dense = majorana_occupations(majorana_rows(rows, length, 0, length))
+    eigvalsh = np.linalg.eigvalsh
+
+    def small(a, *args, **kwargs):
+        assert len(a) <= 128, np.shape(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", small)
+    assert entropy._low_rank_pays(n, length) and not entropy._low_rank_pays(n, short)
+    nu = block_coupling(g, length)
+    assert np.array_equal(nu, entropy._cut_occupations(rows, length, n, 0.0)[0])
+    assert np.abs(nu - dense).max() <= 1e-13
+    if h:
+        tail = entropy._tail_bound(signed_rows(majorana_table(p)), 4 * entropy.START_COLUMNS)
+        assert tail <= entropy.NU_FLOOR
+        ((_, momentum),) = block_spectra(p, [length])
+        assert np.abs(nu - momentum).max() <= 1e-13
+    assert np.array_equal(block_coupling(g, short),
+                          majorana_occupations(majorana_rows(rows, short, 0, short)))
 
 
 GAMMA_GRID = [(n, j_y, h) for n in (12, 40, 400)
