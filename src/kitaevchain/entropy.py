@@ -1,29 +1,22 @@
 """Block entanglement entropy and spectrum from natural-mode occupations.
 
 A block of L sites has L natural fermionic modes with occupations nu_n in
-[0, 1/2], read from the eigenvalues of the symmetric L x L block of G D,
-the ground-state correlations G = 1 - 2C + 2F with columns signed by
-sublattice (see pairing.majorana_occupations).  Each natural mode of the
-block is entangled with one mode outside it and contributes independently:
-its two reduced-density weights are 1 - nu_n and nu_n, the reduced-density
-eigenvalues are products of one weight per mode, and the entropy is the sum
-of binary entropies H(nu_n).  No Schmidt numbers eta = nu / (1 - nu) are
-formed: the way back to the weights would only add rounding.
+[0, 1/2].  Each natural mode of the block is entangled with one mode outside
+it and contributes independently: its two reduced-density weights are
+1 - nu_n and nu_n, the reduced-density eigenvalues are products of one
+weight per mode, and the entropy is the sum of binary entropies H(nu_n).  No
+Schmidt numbers eta = nu / (1 - nu) are formed: the way back to the weights
+would only add rounding.
 
-block_spectra and block_entropy_curve run the momentum route: one row of G D
-per sublattice per chain (pairing.signed_rows), then for each block size one
-call to one of two reductions, on blocks that pairing.majorana_rows lays out
-fresh from those rows; no block shares state with another.  A short block
-takes one symmetric eigensolve of its own L x L block A of G D.  A long one
-takes the few large singular values of the window of its L x (N - L) cross
-block B to the rest of the ring, its first and last w rows against the w
-columns past each cut, and forms no L x L problem.  A gapped chain entangles a fixed number of
-modes at each cut: once one bound per chain (_tail_bound) shows that, each
-block past 64 sites with L or N - L past 128 reads its window at w = 64.
-Other blocks, and every one at and near the critical point, take a flop and
-size rule, and if low rank read the window at w = N, the whole B.  One
-certified subspace iteration (_cut_occupations) reduces either.  Both the
-momentum and the reference route hand each block's nu, one plain array, to
+The occupations come from blocks of G D that pairing lays out, by one of two
+reductions: majorana_occupations, one symmetric eigensolve of the block's
+L x L block A, or _cut_occupations, one certified subspace iteration on the
+few large singular values of its L x (N - L) cross block B, or of a window
+of B at the cuts.  _block_occupations picks one per block.  block_spectra
+and block_entropy_curve lay out one row of G D per sublattice per chain
+(pairing.signed_rows) and hand it to _block_occupations once per block, so
+no block shares state with another; pairing.block_coupling hands it the
+reference route's rows.  Either way a block's nu, one plain array, goes to
 schmidt_numbers, whose one rule is NU_FLOOR.  It, block_entropy and
 entanglement_spectrum all refuse anything but one real number or a 1-d
 array of them, NaN, and any entry outside [0, 1].  fit_log_slope fits a
@@ -37,20 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterError
-from .model import ChainParams, _index
-from .pairing import (
-    _check_block_len,
-    majorana_occupations,
-    majorana_rows,
-    majorana_table,
-    signed_rows,
-)
+from .model import ChainParams, _check_block_len, _index
+from .pairing import majorana_rows, majorana_table, signed_rows
 
 # Occupations below this are eigensolver rounding noise on frozen modes and
-# count as exact zeros.  eigvalsh leaves such a mode at nu of a few eps,
-# growing with the block length (7.6e-15 at most, measured up to L = 4000);
-# each one kept would add up to 4e-13 bits, and hundreds of them add up.  A
-# real mode below the floor carries under 5e-13 bits.
+# count as exact zeros.  majorana_occupations's eigvalsh leaves such a mode
+# at nu of a few eps, growing with the block length (7.6e-15 at most,
+# measured up to L = 4000); each one kept would add up to 4e-13 bits, and
+# hundreds of them add up.  A real mode below the floor carries under 5e-13
+# bits.
 NU_FLOOR = 1e-14
 
 # The low-rank route's first subspace: this many columns of the cross block,
@@ -164,6 +152,35 @@ def entanglement_spectrum(nu: np.ndarray, count: int) -> EntanglementSpectrum:
             heapq.heappush(heap, (-min(v * factors[i + 1] / factors[i], v), i + 1))
     lam = np.asarray(values)
     return EntanglementSpectrum(lambdas=lam, total_captured=float(lam.sum()))
+
+
+def majorana_occupations(block: np.ndarray) -> np.ndarray:
+    """Natural-mode occupations of a block from its block A of G D, descending.
+
+    The block's reduced state is Gaussian and factorizes over fermionic
+    modes with occupations in particle-hole pairs (nu, 1 - nu).  The real
+    L x L block G_L of G = 1 - 2C + 2F has singular values |1 - 2 nu|.  Z
+    couples only opposite sublattices, so D Z D = -Z with D = diag((-1)^j),
+    hence D (1 + Z)^{-1} D = (1 - Z)^{-1} = ((1 + Z)^{-1})^T and, as
+    G = 2 (1 + Z)^{-1} - 1, D G D = G^T.  Then A = G_L D = D G_L^T is
+    symmetric, and as D is orthogonal its |eigenvalues| are the singular
+    values of G_L: one symmetric eigensolve gives the minority member
+    nu = (1 - |lambda|) / 2 of each pair.  A frozen (empty or full) mode
+    reports 0 and a maximally entangled one 1/2.  Only the lower triangle of
+    the block is read.
+
+    For even L the occupations come in degenerate pairs.  Let J reverse the
+    block's sites and K = J D.  Reversal swaps the sublattices, so
+    J D J = -D, K^2 = -1 and K^T = -K.  The block's centre is the centre of
+    a bond, and reflecting the ring there keeps both bond types, which makes
+    G_L persymmetric, J G_L^T J = G_L; so
+    K A K^T = J D A D J = J G_L^T D J = -G_L D = -A.
+    The eigenvalues of A thus come in +-lambda pairs, and an even L leaves
+    the zero eigenvalue an even multiplicity too, so every |lambda| and
+    hence every nu is at least doubly degenerate.  An odd L has no such K.
+    """
+    lam = np.linalg.eigvalsh(block)
+    return np.maximum(0.5 * (1.0 - np.sort(np.abs(lam))), 0.0)
 
 
 def _low_rank_pays(n_sites: int, block_len: int) -> bool:
@@ -313,22 +330,42 @@ def _tail_bound(signed: np.ndarray, width: int) -> float:
     return float(np.square(signed[0]) @ weight[:-1] + np.square(signed[1]) @ weight[1:])
 
 
-def _dense_or_whole_cross(signed: np.ndarray, n_sites: int, length: int) -> np.ndarray:
-    """A block's nu, descending: the whole B at width N where _low_rank_pays, else dense."""
+def _window_width(n_sites: int, length: int) -> int:
+    """w = 4 START_COLUMNS where a block's window at w is a proper part of its B, else 0.
+
+    That is where L > w, and L or N - L is past 2 w.
+    """
+    width = 4 * START_COLUMNS
+    return width if length > width and max(length, n_sites - length) > 2 * width else 0
+
+
+def _block_occupations(signed: np.ndarray, length: int, tail: float | None = None) -> np.ndarray:
+    """A block's nu, descending, from a signed_rows array: the one rule for every block's route.
+
+    There are three routes.  Dense: majorana_occupations of the block's
+    L x L block A.  The window: _cut_occupations on the corners of B at
+    the block's two cuts, w = _window_width wide, counting tail as mass
+    outside them.  The whole B: the window at width N, with tail 0.  A
+    gapped chain entangles a fixed number of modes at each cut, and one
+    bound per chain shows it: tail is _tail_bound at w, or None where no
+    bound was computed.  A block reads its window where its _window_width
+    is not 0 and tail <= NU_FLOOR.  Every other block, and so every one at
+    and near the critical point, reads the whole B where _low_rank_pays,
+    else takes the dense route.  block_spectra computes the tail only when
+    some requested block has a window; block_coupling passes None, so it
+    never reads the window, and the tests check the window against it.
+    """
+    n_sites = signed.shape[1] // 2 + 1
+    width = _window_width(n_sites, length)
+    if width and tail is not None and tail <= NU_FLOOR:
+        return _cut_occupations(signed, length, width, tail)[0]
     if _low_rank_pays(n_sites, length):
         return _cut_occupations(signed, length, n_sites, 0.0)[0]
     return majorana_occupations(majorana_rows(signed, length, 0, length))
 
 
 def _floored_spectra(p: ChainParams, block_lens, reduce) -> list:
-    """(L, reduce(schmidt_numbers of its nu)) per requested L, in order; repeats share.
-
-    Each block is dense, the window of B at w = 4 START_COLUMNS with the
-    chain's one _tail_bound, or the whole B at width N with tail 0.  The
-    window serves every block past the size test (L > w, and L or N - L past
-    2 w, so it is a proper part of B) once the bound, computed only if some
-    block passes, admits it; every other block takes _low_rank_pays's route.
-    """
+    """(L, reduce(schmidt_numbers of its nu)) per requested L, in order; repeats share."""
     try:
         requested = iter(block_lens)
     except TypeError:
@@ -337,17 +374,10 @@ def _floored_spectra(p: ChainParams, block_lens, reduce) -> list:
     if not lens:
         return []
     rows = signed_rows(majorana_table(p))
-    width = 4 * START_COLUMNS
-    windowed = {length: length > width and max(length, p.n_sites - length) > 2 * width
-                for length in lens}
-    tail = _tail_bound(rows, width) if any(windowed.values()) else None
-    reduced = {}
-    for length, window in windowed.items():
-        if window and tail <= NU_FLOOR:
-            nu = _cut_occupations(rows, length, width, tail)[0]
-        else:
-            nu = _dense_or_whole_cross(rows, p.n_sites, length)
-        reduced[length] = reduce(schmidt_numbers(nu))
+    width = max(_window_width(p.n_sites, length) for length in lens)
+    tail = _tail_bound(rows, width) if width else None
+    reduced = {length: reduce(schmidt_numbers(_block_occupations(rows, length, tail)))
+               for length in dict.fromkeys(lens)}
     return [(length, reduced[length]) for length in lens]
 
 

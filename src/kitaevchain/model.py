@@ -43,6 +43,14 @@ def _check_sites(n_sites: int) -> int:
     return n_sites
 
 
+def _check_block_len(n_sites: int, block_len: int) -> int:
+    """block_len as a Python int, once it is a whole number in [1, n_sites - 1]."""
+    block_len = _index("block_len", block_len)
+    if not 1 <= block_len <= n_sites - 1:
+        raise ParameterError(f"block_len must lie in [1, {n_sites - 1}], got {block_len}")
+    return block_len
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Chain size and couplings.  Couplings and field: any finite reals, kept as floats."""

@@ -1,45 +1,35 @@
-"""Real-space structure of the ground state's pairing exponent, and the
-Majorana correlation blocks that carry block entanglement.
+"""The ground-state correlations G = 1 - 2C + 2F as tables, and the signed
+blocks of G D laid out from them.
 
-Two independent routes reach the real matrix G = 1 - 2C + 2F of
-ground-state correlations.  The pairing couples odd sites only to even
-sites, so with the sublattice signs D = diag((-1)^j) (0-based sites j)
-D G D = G^T: every leading L x L block of G D is symmetric, and its
-eigenvalues are +-(1 - 2 nu) for the natural-mode occupations nu of a block
-of L sites.  Both routes lay out signed blocks from one table of G and reduce
-them to a plain array of nu, which goes on to bits with no rule but
-entropy.NU_FLOOR:
+The pairing couples odd sites only to even sites, so with the sublattice
+signs D = diag((-1)^j) (0-based sites j) D G D = G^T and every leading
+block of G D is symmetric.  G is translation-invariant over the two-site
+cell of the antiperiodic ring, so one real table of shape (2, 2, N/2), G per
+pair of sublattices and cell separation, holds all of it.  Two independent
+routes build that table, each as 2 x 2 symbols at the cell momenta and one
+inverse FFT of length N/2, in O(N log N) time and O(N) memory:
 
-- the momentum route (majorana_table, signed_rows, majorana_rows) reads
-  G's unitary 2 x 2 symbol over the two-site cell off the dispersion; one
-  inverse FFT of length N/2 gives a table of G per cell separation, in
-  O(N log N) time and O(N) memory, and signed, one row of G D per
-  sublattice.  Reversed windows of those rows lay out the L x L block, for
-  an O(L^3) eigensolve, or the L x (N - L) cross block to the rest of the
-  ring, whose few large singular values give the same nu in O(L (N - L))
-  time per subspace column, or any rows of either, such as the corners of
-  the cross block at the block's two cuts, all that a gapped chain's long
-  block reads, each a fresh array; entropy.block_spectra picks one per
-  block size;
-- the paper's construction (real_space_gamma, block_coupling,
-  pair_correlations) writes the ground state as exp(Z) on the fermion
-  vacuum, Z = sum_{l<m} z_{lm} c+_l c+_m, through the momentum pair
-  amplitudes and their Fourier coefficients beta_n(x), as the two
-  Toeplitz rows of the N x N site-pair matrix gamma; a PairingMatrix
-  is built from those rows alone.  Z = gamma - gamma^T is
-  translation-invariant over the two-site cell of the antiperiodic ring,
-  so 1 + Z is block skew-circulant and G = 2 (1 + Z)^{-1} - 1 is one
-  2 x 2 inverse per cell momentum: one FFT of Z's two nonzero cell
-  columns, differences of those rows, and one inverse FFT give G's table
-  per cell separation, cached on the PairingMatrix.  The block of G D is
-  laid out from it by signed_rows and majorana_rows, and the full C and F
-  are the split of the N x N G D.  The N x N gamma is laid out only if it
-  is read.  It costs O(N log N) plus, per block, block_spectra's dense or
-  whole-B reduction, never its window at the cuts.  It is the independent
-  reference: it shares only the dispersion, the rescaling and the momentum
-  grid of model, and the layout and reduction of G D from a table, with
-  the momentum route.  The dense eigensolve of Z's Hankel block, which
-  assumes no translation structure, is the tests' oracle for both.
+- majorana_table, the momentum route, reads G's unitary symbol off the
+  dispersion;
+- the paper's construction (real_space_gamma, PairingMatrix.table) writes
+  the ground state as exp(Z) on the fermion vacuum, Z = sum_{l<m} z_{lm}
+  c+_l c+_m, through the momentum pair amplitudes and their Fourier
+  coefficients beta_n(x), as the two Toeplitz rows of the N x N site-pair
+  matrix gamma.  Z = gamma - gamma^T is block skew-circulant over the cell,
+  so G = 2 (1 + Z)^{-1} - 1 is one 2 x 2 inverse per cell momentum.  It is
+  the independent reference: it shares only the dispersion, the rescaling
+  and the momentum grid of model with the momentum route.  The N x N gamma
+  is laid out only if it is read, and the full C and F (pair_correlations)
+  are the split of the N x N G D.  The tests' oracle for both tables is a
+  dense eigensolve of Z's Hankel block, which assumes no translation
+  structure.
+
+signed_rows turns either table into one row of G D per sublattice, and
+majorana_rows lays out any rows and columns of G D as reversed windows of
+those rows, each a fresh array: the symmetric L x L block A of a block of L
+sites, the L x (N - L) cross block B to the rest of the ring, or parts of
+either.  entropy reduces them to occupations; block_coupling hands it the
+reference route's rows.
 """
 
 from __future__ import annotations
@@ -50,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ParameterError
-from .model import ChainParams, _index, dispersion, momentum_grid, unit_scaled
+from .model import ChainParams, _check_block_len, _index, dispersion, momentum_grid, unit_scaled
 
 
 def pair_amplitudes(p: ChainParams, q):
@@ -131,12 +121,11 @@ class PairingMatrix:
         from_even, from_odd = self.rows
         z01 = from_even[n - 2 : -2 : 2] - from_odd[n:1:-2]
         z10 = from_odd[n::2] - from_even[n - 2 :: -2]
-        twist = np.exp(1j * np.pi * np.arange(cells) / cells)
-        z01, z10 = np.fft.fft(np.stack([z01, z10]) / twist)
+        z01, z10 = np.fft.fft(np.stack([z01, z10]) / _half_shift(cells))
         one = np.ones(cells)
         inverse = np.linalg.inv(np.stack([[one, z01], [z10, one]]).transpose(2, 0, 1))
         symbols = 2.0 * inverse - np.eye(2)
-        return (twist * np.fft.ifft(symbols.transpose(1, 2, 0))).real
+        return _real_space(symbols.transpose(1, 2, 0))
 
     @cached_property
     def correlations(self) -> tuple[np.ndarray, np.ndarray]:
@@ -213,43 +202,6 @@ def pair_correlations(g: PairingMatrix) -> tuple[np.ndarray, np.ndarray]:
     return g.correlations
 
 
-def _check_block_len(n_sites: int, block_len: int) -> int:
-    """block_len as a Python int, once it is a whole number in [1, n_sites - 1]."""
-    block_len = _index("block_len", block_len)
-    if not 1 <= block_len <= n_sites - 1:
-        raise ParameterError(f"block_len must lie in [1, {n_sites - 1}], got {block_len}")
-    return block_len
-
-
-def majorana_occupations(block: np.ndarray) -> np.ndarray:
-    """Natural-mode occupations of a block from its block A of G D, descending.
-
-    The block's reduced state is Gaussian and factorizes over fermionic
-    modes with occupations in particle-hole pairs (nu, 1 - nu).  The real
-    L x L block G_L of G = 1 - 2C + 2F has singular values |1 - 2 nu|.  Z
-    couples only opposite sublattices, so D Z D = -Z with D = diag((-1)^j),
-    hence D (1 + Z)^{-1} D = (1 - Z)^{-1} = ((1 + Z)^{-1})^T and, as
-    G = 2 (1 + Z)^{-1} - 1, D G D = G^T.  Then A = G_L D = D G_L^T is
-    symmetric, and as D is orthogonal its |eigenvalues| are the singular
-    values of G_L: one symmetric eigensolve gives the minority member
-    nu = (1 - |lambda|) / 2 of each pair.  A frozen (empty or full) mode
-    reports 0 and a maximally entangled one 1/2.  Only the lower triangle of
-    the block is read.
-
-    For even L the occupations come in degenerate pairs.  Let J reverse the
-    block's sites and K = J D.  Reversal swaps the sublattices, so
-    J D J = -D, K^2 = -1 and K^T = -K.  The block's centre is the centre of
-    a bond, and reflecting the ring there keeps both bond types, which makes
-    G_L persymmetric, J G_L^T J = G_L; so
-    K A K^T = J D A D J = J G_L^T D J = -G_L D = -A.
-    The eigenvalues of A thus come in +-lambda pairs, and an even L leaves
-    the zero eigenvalue an even multiplicity too, so every |lambda| and
-    hence every nu is at least doubly degenerate.  An odd L has no such K.
-    """
-    lam = np.linalg.eigvalsh(block)
-    return np.maximum(0.5 * (1.0 - np.sort(np.abs(lam))), 0.0)
-
-
 def majorana_table(p: ChainParams) -> np.ndarray:
     """G = 1 - 2C + 2F between the cells of two sites, per cell separation.
 
@@ -278,8 +230,17 @@ def majorana_table(p: ChainParams) -> np.ndarray:
     eps = (eps1 - 1j * eps2) * np.exp(-1j * q)
     h = np.full(cells, unit.h_field)
     symbols = np.stack([[h, eps], [-eps.conj(), h]]) / energy
-    half_shift = np.exp(1j * np.pi * np.arange(cells) / cells)
-    return (half_shift * np.fft.ifft(symbols)).real
+    return _real_space(symbols)
+
+
+def _half_shift(cells: int) -> np.ndarray:
+    """e^{i pi d / (N/2)} per cell separation d: the antiperiodic ring's twist."""
+    return np.exp(1j * np.pi * np.arange(cells) / cells)
+
+
+def _real_space(symbols: np.ndarray) -> np.ndarray:
+    """G per cell separation, a (2, 2, N/2) table, from its 2 x 2 symbols at the cell momenta."""
+    return (_half_shift(symbols.shape[-1]) * np.fft.ifft(symbols)).real
 
 
 def signed_rows(table: np.ndarray) -> np.ndarray:
@@ -306,11 +267,11 @@ def majorana_rows(
     Row r = 2a + s is the reversed window of rows[s] that starts at 2a, so
     the rows of one sublattice are windows two sites apart and each
     sublattice is one write.  Columns 0 to L of the first L rows give the
-    symmetric L x L block A of majorana_occupations, whose leading slices
-    are the smaller blocks, and L to N the cross block B to the rest of the
-    ring; a later first row reads the rows of A or B next to the block's
-    far cut.  entropy.block_spectra does not rely on the leading slices: it
-    lays out each block on its own.
+    symmetric L x L block A of entropy.majorana_occupations, whose leading
+    slices are the smaller blocks, and L to N the cross block B to the rest
+    of the ring; a later first row reads the rows of A or B next to the
+    block's far cut.  entropy.block_spectra does not rely on the leading
+    slices: it lays out each block on its own.
     """
     if rows.ndim != 2 or len(rows) != 2:
         raise ParameterError(f"rows must be a signed_rows array of two rows, got shape {rows.shape}")
@@ -338,13 +299,10 @@ def majorana_rows(
 def block_coupling(g: PairingMatrix, block_len: int) -> np.ndarray:
     """The block's occupations after block_len sites, one plain descending array.
 
-    The reference route: G D is read by signed_rows from the table cached
-    on g, G = 2 (1 + Z)^{-1} - 1 inverted one cell momentum at a time (see
-    PairingMatrix.table).  As block_spectra on a chain whose tail bound
-    refuses the window, it takes the whole cross block B (width N, tail 0)
-    where _low_rank_pays, else majorana_occupations; never the window, so
-    it needs no tail bound.  Not floored; no N x N array is formed.
+    The reference route: signed_rows of the table cached on g (see
+    PairingMatrix.table), reduced by entropy's route for a block with no
+    tail bound.  Not floored; no N x N array is formed.
     """
-    from .entropy import _dense_or_whole_cross  # entropy imports pairing
+    from .entropy import _block_occupations  # entropy imports pairing
     block_len = _check_block_len(g.n_sites, block_len)
-    return _dense_or_whole_cross(signed_rows(g.table), g.n_sites, block_len)
+    return _block_occupations(signed_rows(g.table), block_len)

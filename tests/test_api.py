@@ -99,3 +99,24 @@ def test_reference_chain_hands_occupations_to_bits():
     lambdas = entanglement_spectrum(nu, 16).lambdas
     assert isinstance(lambdas, np.ndarray) and len(lambdas) == 16
     assert np.all(np.diff(lambdas) <= 0.0) and lambdas.sum() <= 1.0 + 1e-12
+
+
+def test_pairing_lays_out_g_d_and_entropy_reduces_it():
+    # pairing builds G's tables and lays out blocks of G D; every eigensolve
+    # or QR that reduces a block to occupations lives in entropy, which reads
+    # only public pairing names.  pairing reaches entropy only at call time.
+    package = ROOT / "src" / "kitaevchain"
+    pairing = ast.parse((package / "pairing.py").read_text())
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+              for node in ast.walk(pairing)
+              if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))}
+    assert not called & {"eigvalsh", "eigh", "qr"}, called & {"eigvalsh", "eigh", "qr"}
+    assert not [node for node in pairing.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and (node.module == "entropy"
+                     or node.module is None and "entropy" in {a.name for a in node.names})]
+    entropy = ast.parse((package / "entropy.py").read_text())
+    from_pairing = {alias.name for node in ast.walk(entropy)
+                    if isinstance(node, ast.ImportFrom) and node.module == "pairing"
+                    for alias in node.names}
+    assert from_pairing and not {name for name in from_pairing if name.startswith("_")}

@@ -17,13 +17,13 @@ from kitaevchain.entropy import (
     block_entropy_curve,
     block_spectra,
     entanglement_spectrum,
+    majorana_occupations,
     schmidt_numbers,
 )
 from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import ChainParams
 from kitaevchain.pairing import (
     block_coupling,
-    majorana_occupations,
     majorana_rows,
     majorana_table,
     real_space_gamma,
@@ -789,6 +789,61 @@ def test_a_block_whose_window_is_all_of_b_stays_dense_without_a_tail_bound():
         block_entropy_curve(p, [100])
     assert tail.call_count == 0
     assert [len(call.args[0]) for call in dense.call_args_list] == [100]
+
+
+def _route_by_hand(signed, length, tail):
+    """_block_occupations's rule written out on its own, the window's size test inline."""
+    n = signed.shape[1] // 2 + 1
+    if tail is not None and length > W and max(length, n - length) > 2 * W and tail <= NU_FLOOR:
+        return entropy._cut_occupations(signed, length, W, tail)[0]
+    if entropy._low_rank_pays(n, length):
+        return entropy._cut_occupations(signed, length, n, 0.0)[0]
+    return majorana_occupations(majorana_rows(signed, length, 0, length))
+
+
+def test_one_route_serves_both_entry_points():
+    # block_spectra hands every block the chain's one tail bound, or None
+    # when no block has a window; block_coupling hands it None, so it never
+    # reads the window.  Each block's nu is bitwise the hand-written rule's.
+    # The chains take all three routes: the gapped one its window past
+    # L = 64, the critical one its whole B from N/4 on, both dense below; at
+    # N = 200 no block of 100 sites has a window.
+    original, calls = entropy._block_occupations, []
+
+    def spy(signed, length, tail=None):
+        nu = original(signed, length, tail)
+        calls.append((signed, length, tail, nu))
+        return nu
+
+    chains = [(ChainParams(1000, 1.0, 1.3, 0.3), (7, 64, 100, 500, 900), True),
+              (ChainParams(1000, 1.0, 1.0, 0.0), (7, 100, 250, 500), True),
+              (ChainParams(200, 1.0, 1.0, 0.5), (100,), False)]
+    for p, lens, windowed in chains:
+        rows = signed_rows(majorana_table(p))
+        tail = entropy._tail_bound(rows, W) if windowed else None
+        g = real_space_gamma(p)
+        with mock.patch.object(entropy, "_block_occupations", wraps=spy):
+            calls.clear()
+            block_spectra(p, lens)
+            assert [call[1] for call in calls] == list(lens)
+            assert all(call[2] == tail for call in calls), (p, tail)
+            spectra = list(calls)
+            calls.clear()
+            for length in lens:
+                block_coupling(g, length)
+            assert [(call[1], call[2]) for call in calls] == [(length, None) for length in lens]
+        for signed, length, tail, nu in spectra + calls:
+            assert np.array_equal(nu, _route_by_hand(signed, length, tail)), (p, length)
+
+
+def test_low_rank_pays_is_four_l_at_least_n_from_988_sites():
+    # Below N/4 the size bound keeps every block dense, and past it the
+    # price only falls as L grows, so three lengths per N decide the rule.
+    # At N = 984 the price still keeps L = N/4 = 246 dense.
+    for n in range(988, 100_001, 4):
+        for length in (n // 4 - 1, n // 4, n - 1):
+            assert entropy._low_rank_pays(n, length) == (4 * length >= n), (n, length)
+    assert not entropy._low_rank_pays(984, 246)
 
 
 def test_curve_keeps_one_block_alive_at_a_time():

@@ -11,13 +11,13 @@ from kitaevchain.entropy import (
     block_entropy,
     block_entropy_curve,
     block_spectra,
+    majorana_occupations,
     schmidt_numbers,
 )
 from kitaevchain.exceptions import ParameterError
 from kitaevchain.model import ChainParams, momentum_grid
 from kitaevchain.pairing import (
     block_coupling,
-    majorana_occupations,
     majorana_rows,
     majorana_table,
     pair_amplitudes,
